@@ -8,11 +8,15 @@ use adn_rpc::message::{MessageKind, RpcMessage};
 use adn_rpc::transport::EndpointAddr;
 use adn_wire::codec::{Decoder, Encoder};
 
-use crate::ebpf::{self, EbpfElement, EbpfMaps, EbpfVerdict, RouteDecision};
+use crate::ebpf::{EbpfElement, EbpfMaps, EbpfVerdict, RouteDecision};
+use crate::isa;
+use crate::native::ABORT_INTERNAL;
 use crate::p4::{P4Pipeline, P4Tables, P4Verdict};
 use crate::udf_impl::UdfRuntime;
 
-/// An eBPF-compiled element behind the Engine interface.
+/// An eBPF-compiled element behind the Engine interface. It runs the
+/// encoded programs — the ones deploy proved — on the encoded interpreter;
+/// a runtime fault aborts the call with [`ABORT_INTERNAL`].
 pub struct EbpfEngine {
     name: String,
     element: EbpfElement,
@@ -50,7 +54,7 @@ impl Engine for EbpfEngine {
             MessageKind::Response => &self.element.response,
         };
         let mut route = RouteDecision::default();
-        let verdict = ebpf::execute(
+        let verdict = isa::execute_encoded(
             prog,
             &mut msg.fields,
             &mut self.maps,
@@ -63,11 +67,15 @@ impl Engine for EbpfEngine {
             }
         }
         match verdict {
-            EbpfVerdict::Forward => Verdict::Forward,
-            EbpfVerdict::Drop => Verdict::Drop,
-            EbpfVerdict::Abort { code } => Verdict::Abort {
+            Ok(EbpfVerdict::Forward) => Verdict::Forward,
+            Ok(EbpfVerdict::Drop) => Verdict::Drop,
+            Ok(EbpfVerdict::Abort { code }) => Verdict::Abort {
                 code,
                 message: "aborted by ebpf element".to_owned(),
+            },
+            Err(fault) => Verdict::Abort {
+                code: ABORT_INTERNAL,
+                message: format!("ebpf fault: {fault}"),
             },
         }
     }
@@ -176,6 +184,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::ebpf;
     use adn_dsl::parser::parse_element;
     use adn_dsl::typecheck::check_element;
     use adn_rpc::schema::RpcSchema;
@@ -268,6 +277,30 @@ mod tests {
             e.process(&mut m1);
             native.process(&mut m2);
             assert_eq!(m1.dst, m2.dst, "replica choice diverged for {oid}");
+        }
+    }
+
+    #[test]
+    fn ebpf_fault_aborts_with_internal_code() {
+        // `r2 = 0x1234; r0 = *(u64 *)(r2 + 0)` loads from an unmapped
+        // address: the interpreter faults and the call aborts.
+        let mut prog = vec![isa::mov64_reg(isa::CTX_REG, 1)];
+        prog.extend(isa::lddw(2, 0x1234));
+        prog.extend([isa::ldx(isa::BPF_DW, 0, 2, 0), isa::exit()]);
+        let element = EbpfElement {
+            name: "Faulty".into(),
+            request: prog,
+            response: vec![isa::mov64_imm(0, 0), isa::exit()],
+            map_inits: vec![],
+        };
+        let mut engine = EbpfEngine::new(element, 0, vec![]);
+        let mut msg = request(1, 5);
+        match engine.process(&mut msg) {
+            Verdict::Abort { code, message } => {
+                assert_eq!(code, ABORT_INTERNAL);
+                assert!(message.contains("invalid memory read"), "{message}");
+            }
+            other => panic!("expected an internal abort, got {other:?}"),
         }
     }
 

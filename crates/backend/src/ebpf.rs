@@ -1,10 +1,9 @@
-//! eBPF-offload simulator: bytecode, verifier, compiler, interpreter.
+//! eBPF-offload simulator: the compiler from IR elements to eBPF programs.
 //!
 //! Paper §3 places RPC processing "in-kernel (e.g., using eBPF)" when the
 //! element fits the kernel's execution model, and §2 explains why much of a
 //! service mesh *cannot* be offloaded. This module reproduces that boundary
-//! faithfully by compiling IR elements to a bytecode with real eBPF-style
-//! restrictions:
+//! faithfully by compiling IR elements under real eBPF restrictions:
 //!
 //! * registers hold 64-bit scalars only — **no floats, no strings**;
 //! * **no backward jumps** (and hence no loops): scan joins and whole-table
@@ -15,10 +14,13 @@
 //! * integer arithmetic **wraps** (two's complement); division by zero
 //!   yields 0 and modulo by zero leaves `dst` unchanged, matching the BPF
 //!   ALU semantics standardized in RFC 9669 — a documented semantic
-//!   difference from the software backend, which aborts on overflow;
-//! * a [`verify`] pass — bounded program size, forward-only jumps,
-//!   registers initialized before use, all paths ending in `Ret` — gates
-//!   every program before it can run, like the kernel verifier.
+//!   difference from the software backend, which aborts on overflow.
+//!
+//! The compiler's output is one artifact: the assembled instruction stream
+//! ([`crate::isa::BpfInsn`]) for each direction. `adn_verifier::absint`
+//! proves that stream at placement and again at deploy, and
+//! [`crate::isa::execute_encoded`] runs it — what is verified is what runs.
+//! The pseudo-instructions ([`Insn`]) are crate-private assembler input.
 //!
 //! `random() < p` predicates (fault injection) compile by scaling `p` into
 //! a 64-bit threshold compared against a uniform `u64`, the standard trick
@@ -30,19 +32,20 @@ use adn_ir::element::{ElementIr, IrStmt, JoinStrategy};
 use adn_ir::expr::{IrBinOp, IrExpr, IrUnOp};
 use adn_rpc::value::{Value, ValueType};
 
-use crate::udf_impl::UdfRuntime;
+use crate::isa::{self, BpfInsn};
 
-/// Number of registers the restricted bytecode may use as general-purpose
+/// Number of registers the pseudo-instructions may use as general-purpose
 /// scalars (`r0..r8`). The real ISA encoding ([`crate::isa`]) reserves `r9`
 /// for the saved context pointer and `r10` for the read-only frame pointer,
-/// so legacy programs confined to `r0..=r8` assemble onto real registers 1:1.
-pub const NUM_REGS: u8 = 9;
-/// Maximum program length, mirroring kernel limits.
+/// so programs confined to `r0..=r8` assemble onto real registers 1:1.
+const NUM_REGS: u8 = 9;
+/// Maximum encoded program length in instruction slots, mirroring the
+/// kernel's `BPF_MAXINSNS`.
 pub const MAX_INSNS: usize = 4096;
 
 /// ALU operations (register-register, `dst = dst op src`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AluOp {
+pub(crate) enum AluOp {
     Add,
     Sub,
     Mul,
@@ -52,12 +55,11 @@ pub enum AluOp {
     ModS,
     And,
     Or,
-    Xor,
 }
 
 /// Comparison conditions for conditional jumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
+pub(crate) enum CmpOp {
     Eq,
     Ne,
     Lt,
@@ -66,9 +68,10 @@ pub enum CmpOp {
     Ge,
 }
 
-/// Bytecode instructions.
+/// Compiler pseudo-instructions, lowered onto the real encoding by
+/// [`isa::assemble`]. Jump offsets count pseudo-instructions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Insn {
+pub(crate) enum Insn {
     /// `dst = imm` (bit pattern).
     LdImm { dst: u8, imm: u64 },
     /// `dst = message.fields[field]` — numeric/bool fields only.
@@ -118,23 +121,19 @@ pub enum Insn {
     Ret { verdict: u8 },
 }
 
-/// Verdict codes for [`Insn::Ret`].
+/// Verdict codes in the low byte of `r0` at `exit`.
 pub const RET_FORWARD: u8 = 0;
 pub const RET_DROP: u8 = 1;
 pub const RET_ABORT: u8 = 2;
 
-/// A compiled, not-yet-verified program for one direction.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EbpfProgram {
-    pub insns: Vec<Insn>,
-}
-
-/// A verified element: programs for both directions plus map layouts.
+/// A compiled element: the encoded program for each direction plus map
+/// layouts. The programs are exactly what the verifier proves and the
+/// adapter executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EbpfElement {
     pub name: String,
-    pub request: EbpfProgram,
-    pub response: EbpfProgram,
+    pub request: Vec<BpfInsn>,
+    pub response: Vec<BpfInsn>,
     /// Initial map contents (key → value), one per element table.
     pub map_inits: Vec<Vec<(u64, u64)>>,
 }
@@ -166,336 +165,52 @@ impl EbpfMaps {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Verifier
-// ---------------------------------------------------------------------------
-
-/// Static verification: bounded size, in-range registers and maps,
-/// forward-only jumps with in-range targets, registers initialized before
-/// use on every path, and all paths terminating in `Ret`.
-pub fn verify(prog: &EbpfProgram, num_maps: usize) -> Result<(), String> {
-    let n = prog.insns.len();
-    if n == 0 {
-        return Err("empty program".into());
-    }
-    if n > MAX_INSNS {
-        return Err(format!("program has {n} insns, limit is {MAX_INSNS}"));
-    }
-
-    let reg_ok = |r: u8| r < NUM_REGS;
-    // init[i] = registers guaranteed initialized when insn i executes.
-    // Forward-only jumps mean a single in-order pass computes the meet.
-    let mut init: Vec<Option<u16>> = vec![None; n + 1];
-    init[0] = Some(0);
-
-    let meet = |slot: &mut Option<u16>, incoming: u16| {
-        *slot = Some(match *slot {
-            Some(prev) => prev & incoming,
-            None => incoming,
-        });
-    };
-
-    for (i, insn) in prog.insns.iter().enumerate() {
-        let Some(in_set) = init[i] else {
-            // Unreachable instruction: harmless, skip.
-            continue;
-        };
-        let mut out = in_set;
-        let use_reg = |set: u16, r: u8, what: &str| -> Result<(), String> {
-            if !reg_ok(r) {
-                return Err(format!("insn {i}: register r{r} out of range"));
-            }
-            if set & (1 << r) == 0 {
-                return Err(format!("insn {i}: {what} reads uninitialized r{r}"));
-            }
-            Ok(())
-        };
-        let def_reg = |out: &mut u16, r: u8| -> Result<(), String> {
-            if !reg_ok(r) {
-                return Err(format!("insn {i}: register r{r} out of range"));
-            }
-            *out |= 1 << r;
-            Ok(())
-        };
-        let check_jump = |off: u16| -> Result<usize, String> {
-            let target = i + 1 + off as usize;
-            if target > n {
-                return Err(format!("insn {i}: jump target {target} out of range"));
-            }
-            Ok(target)
-        };
-
-        let mut falls_through = true;
-        let mut jump_target: Option<usize> = None;
-
-        match insn {
-            Insn::LdImm { dst, .. }
-            | Insn::Rand { dst }
-            | Insn::Now { dst }
-            | Insn::HashField { dst, .. }
-            | Insn::LenField { dst, .. }
-            | Insn::LdField { dst, .. } => def_reg(&mut out, *dst)?,
-            Insn::StField { src, .. } => use_reg(in_set, *src, "StField")?,
-            Insn::Mov { dst, src } => {
-                use_reg(in_set, *src, "Mov")?;
-                def_reg(&mut out, *dst)?;
-            }
-            Insn::Alu { dst, src, .. } => {
-                use_reg(in_set, *dst, "Alu dst")?;
-                use_reg(in_set, *src, "Alu src")?;
-            }
-            Insn::Neg { dst } | Insn::LogicalNot { dst } => use_reg(in_set, *dst, "unary")?,
-            Insn::Jmp { off } => {
-                jump_target = Some(check_jump(*off)?);
-                falls_through = false;
-            }
-            Insn::JmpIf { a, b, off, .. } => {
-                use_reg(in_set, *a, "JmpIf a")?;
-                use_reg(in_set, *b, "JmpIf b")?;
-                jump_target = Some(check_jump(*off)?);
-            }
-            Insn::MapLookup {
-                map,
-                key,
-                dst,
-                miss_off,
-            } => {
-                if *map as usize >= num_maps {
-                    return Err(format!("insn {i}: map {map} out of range"));
-                }
-                use_reg(in_set, *key, "MapLookup key")?;
-                def_reg(&mut out, *dst)?;
-                jump_target = Some(check_jump(*miss_off)?);
-            }
-            Insn::MapUpdate { map, key, value } => {
-                if *map as usize >= num_maps {
-                    return Err(format!("insn {i}: map {map} out of range"));
-                }
-                use_reg(in_set, *key, "MapUpdate key")?;
-                use_reg(in_set, *value, "MapUpdate value")?;
-            }
-            Insn::MapDelete { map, key } => {
-                if *map as usize >= num_maps {
-                    return Err(format!("insn {i}: map {map} out of range"));
-                }
-                use_reg(in_set, *key, "MapDelete key")?;
-            }
-            Insn::Route { key_hash } => use_reg(in_set, *key_hash, "Route")?,
-            Insn::Ret { verdict } => {
-                if *verdict == RET_ABORT {
-                    use_reg(in_set, 0, "Ret abort code")?;
-                }
-                if *verdict > RET_ABORT {
-                    return Err(format!("insn {i}: invalid verdict {verdict}"));
-                }
-                falls_through = false;
-            }
-        }
-
-        if falls_through {
-            if i + 1 >= n && !matches!(insn, Insn::Ret { .. }) {
-                return Err(format!("insn {i}: program can fall off the end"));
-            }
-            meet(&mut init[i + 1], out);
-        }
-        if let Some(t) = jump_target {
-            if t == n {
-                return Err(format!("insn {i}: jump falls off the end"));
-            }
-            // On a MapLookup miss path, dst is NOT initialized.
-            let jump_out = match insn {
-                Insn::MapLookup { dst, .. } => out & !(1 << dst),
-                _ => out,
-            };
-            meet(&mut init[t], jump_out);
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Interpreter
-// ---------------------------------------------------------------------------
-
 /// Routing decision surfaced by a program run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouteDecision {
-    /// `Some(hash)` when a Route insn executed; the host picks
+    /// `Some(hash)` when the route helper ran; the host picks
     /// `replicas[hash % replicas.len()]`.
     pub key_hash: Option<u64>,
-}
-
-/// Executes a verified program. Never loops (forward-only jumps).
-pub fn execute(
-    prog: &EbpfProgram,
-    fields: &mut [Value],
-    maps: &mut EbpfMaps,
-    udf: &mut UdfRuntime,
-    route: &mut RouteDecision,
-) -> EbpfVerdict {
-    let mut regs = [0u64; NUM_REGS as usize];
-    let mut pc = 0usize;
-    while pc < prog.insns.len() {
-        match &prog.insns[pc] {
-            Insn::LdImm { dst, imm } => regs[*dst as usize] = *imm,
-            Insn::LdField { dst, field } => {
-                regs[*dst as usize] = match &fields[*field as usize] {
-                    Value::U64(v) => *v,
-                    Value::I64(v) => *v as u64,
-                    Value::Bool(b) => *b as u64,
-                    // Verified programs never load non-scalar fields; treat
-                    // defensively as 0.
-                    _ => 0,
-                };
-            }
-            Insn::StField { field, src } => {
-                let raw = regs[*src as usize];
-                let slot = &mut fields[*field as usize];
-                *slot = match slot.value_type() {
-                    ValueType::U64 => Value::U64(raw),
-                    ValueType::I64 => Value::I64(raw as i64),
-                    ValueType::Bool => Value::Bool(raw != 0),
-                    _ => slot.clone(),
-                };
-            }
-            Insn::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
-            Insn::Alu { op, dst, src } => {
-                let a = regs[*dst as usize];
-                let b = regs[*src as usize];
-                regs[*dst as usize] = match op {
-                    AluOp::Add => a.wrapping_add(b),
-                    AluOp::Sub => a.wrapping_sub(b),
-                    AluOp::Mul => a.wrapping_mul(b),
-                    AluOp::DivU => a.checked_div(b).unwrap_or(0),
-                    // RFC 9669: `mod` by zero leaves dst unchanged.
-                    AluOp::ModU => {
-                        if b == 0 {
-                            a
-                        } else {
-                            a % b
-                        }
-                    }
-                    AluOp::DivS => {
-                        let (x, y) = (a as i64, b as i64);
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y) as u64
-                        }
-                    }
-                    AluOp::ModS => {
-                        let (x, y) = (a as i64, b as i64);
-                        if y == 0 {
-                            a
-                        } else {
-                            x.wrapping_rem(y) as u64
-                        }
-                    }
-                    AluOp::And => a & b,
-                    AluOp::Or => a | b,
-                    AluOp::Xor => a ^ b,
-                };
-            }
-            Insn::Neg { dst } => {
-                regs[*dst as usize] = (regs[*dst as usize] as i64).wrapping_neg() as u64
-            }
-            Insn::LogicalNot { dst } => regs[*dst as usize] = (regs[*dst as usize] == 0) as u64,
-            Insn::Jmp { off } => {
-                pc += 1 + *off as usize;
-                continue;
-            }
-            Insn::JmpIf {
-                cmp,
-                signed,
-                a,
-                b,
-                off,
-            } => {
-                let x = regs[*a as usize];
-                let y = regs[*b as usize];
-                let taken = if *signed {
-                    let (x, y) = (x as i64, y as i64);
-                    match cmp {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    }
-                } else {
-                    match cmp {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    }
-                };
-                if taken {
-                    pc += 1 + *off as usize;
-                    continue;
-                }
-            }
-            Insn::HashField { dst, field } => {
-                regs[*dst as usize] = fields[*field as usize].stable_hash()
-            }
-            Insn::LenField { dst, field } => {
-                regs[*dst as usize] = match &fields[*field as usize] {
-                    Value::Str(s) => s.len() as u64,
-                    Value::Bytes(b) => b.len() as u64,
-                    _ => 0,
-                };
-            }
-            Insn::Rand { dst } => regs[*dst as usize] = udf.random_u64(),
-            Insn::Now { dst } => regs[*dst as usize] = udf.now(),
-            Insn::MapLookup {
-                map,
-                key,
-                dst,
-                miss_off,
-            } => match maps.maps[*map as usize].get(&regs[*key as usize]) {
-                Some(v) => regs[*dst as usize] = *v,
-                None => {
-                    pc += 1 + *miss_off as usize;
-                    continue;
-                }
-            },
-            Insn::MapUpdate { map, key, value } => {
-                maps.maps[*map as usize].insert(regs[*key as usize], regs[*value as usize]);
-            }
-            Insn::MapDelete { map, key } => {
-                maps.maps[*map as usize].remove(&regs[*key as usize]);
-            }
-            Insn::Route { key_hash } => {
-                route.key_hash = Some(regs[*key_hash as usize]);
-            }
-            Insn::Ret { verdict } => {
-                return match *verdict {
-                    RET_FORWARD => EbpfVerdict::Forward,
-                    RET_DROP => EbpfVerdict::Drop,
-                    _ => EbpfVerdict::Abort {
-                        code: regs[0] as u32,
-                    },
-                };
-            }
-        }
-        pc += 1;
-    }
-    // Verified programs cannot fall off the end; be safe anyway.
-    EbpfVerdict::Forward
 }
 
 // ---------------------------------------------------------------------------
 // Compiler: ElementIr → EbpfElement
 // ---------------------------------------------------------------------------
 
-/// Compiles an element to verified eBPF programs, or explains why it does
-/// not fit the kernel execution model.
+/// Compiles an element to encoded eBPF programs, or explains why it does
+/// not fit the kernel execution model. Field types are inferred from usage
+/// (see [`compile_for_schema`] for the typed form deploy uses).
 pub fn compile(element: &ElementIr) -> Result<EbpfElement, String> {
-    // Tables must fit the map model: exactly one u64 key column and at most
-    // one additional u64 value column.
+    compile_typed(element, None, None)
+}
+
+/// Compiles with explicit schema field types (used by deploy).
+pub fn compile_for_schema(
+    element: &ElementIr,
+    request_types: &[ValueType],
+    response_types: &[ValueType],
+) -> Result<EbpfElement, String> {
+    compile_typed(element, Some(request_types), Some(response_types))
+}
+
+fn compile_typed(
+    element: &ElementIr,
+    request_types: Option<&[ValueType]>,
+    response_types: Option<&[ValueType]>,
+) -> Result<EbpfElement, String> {
+    let map_inits = map_layout(element)?;
+    Ok(EbpfElement {
+        name: element.name.clone(),
+        request: compile_program(element, &element.request, request_types)?,
+        response: compile_program(element, &element.response, response_types)?,
+        map_inits,
+    })
+}
+
+/// Checks every table fits the map model — exactly one u64 key column and
+/// at most one additional u64 value column — and returns the initial
+/// contents.
+fn map_layout(element: &ElementIr) -> Result<Vec<Vec<(u64, u64)>>, String> {
     let mut map_inits = Vec::new();
     for t in &element.tables {
         if t.key_columns.len() != 1 {
@@ -539,17 +254,7 @@ pub fn compile(element: &ElementIr) -> Result<EbpfElement, String> {
         }
         map_inits.push(init);
     }
-
-    let request = compile_stmts(element, &element.request)?;
-    let response = compile_stmts(element, &element.response)?;
-    verify(&request, element.tables.len())?;
-    verify(&response, element.tables.len())?;
-    Ok(EbpfElement {
-        name: element.name.clone(),
-        request,
-        response,
-        map_inits,
-    })
+    Ok(map_inits)
 }
 
 /// Expression result type tracked during compilation.
@@ -598,17 +303,6 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn field_ty(&self, idx: usize, schema_len: usize) -> Result<ETy, String> {
-        // Field types come from the chain schema; the IR does not embed
-        // them, so infer from usage constraints: LdField is restricted to
-        // scalar fields by the statement compiler, which consults the
-        // element's table/statement structure. We conservatively treat the
-        // loaded value as U64 bits; signedness only matters for
-        // comparisons, which track ETy from typed leaves.
-        let _ = (idx, schema_len);
-        Ok(ETy::U64)
-    }
-
     /// Compiles an expression into a fresh register. `field_types` supplies
     /// schema types so non-scalar loads are rejected.
     fn expr(&mut self, e: &IrExpr, field_types: &[ValueType]) -> Result<(u8, ETy), String> {
@@ -632,7 +326,6 @@ impl<'a> Compiler<'a> {
                     Some(t) => return Err(format!("field {i} has type {t}, not loadable in eBPF")),
                     None => return Err(format!("field {i} out of range")),
                 };
-                self.field_ty(*i, field_types.len())?;
                 let r = self.alloc()?;
                 self.emit(Insn::LdField {
                     dst: r,
@@ -818,16 +511,10 @@ impl<'a> Compiler<'a> {
                     _ => unreachable!(),
                 };
                 // Eq/Ne compare identically under either signedness; emit
-                // the unsigned form so programs stay canonical for
-                // `isa::lift` (JEQ/JNE have no signed encoding).
+                // the unsigned form (JEQ/JNE have no signed encoding).
                 let signed = signed && !matches!(cmp, CmpOp::Eq | CmpOp::Ne);
-                // dst = 1; if cmp(a,b) skip; dst = 0.
-                self.emit(Insn::LdImm { dst: a, imm: 1 });
-                // a was overwritten — recompute into fresh regs instead.
-                // Simpler correct sequence: out = 1; JmpIf cmp(a0,b0) +1;
-                // out = 0. We must not clobber a before comparing, so emit
-                // comparison against the original registers:
-                self.insns.pop();
+                // out = 1; if cmp(a, b) skip; out = 0 — into a fresh
+                // register so the operands survive until the compare.
                 let out = self.alloc()?;
                 self.emit(Insn::LdImm { dst: out, imm: 1 });
                 self.emit(Insn::JmpIf {
@@ -865,7 +552,7 @@ impl<'a> Compiler<'a> {
         left: &IrExpr,
         right: &IrExpr,
     ) -> Result<Option<(u8, ETy)>, String> {
-        let (rand_side, const_side, cmp) = match (left, right) {
+        let (p, cmp) = match (left, right) {
             (IrExpr::Udf { name, args }, IrExpr::Const(Value::F64(p)))
                 if name == "random" && args.is_empty() =>
             {
@@ -876,7 +563,7 @@ impl<'a> Compiler<'a> {
                     IrBinOp::Ge => CmpOp::Ge,
                     _ => return Ok(None),
                 };
-                (true, *p, cmp)
+                (*p, cmp)
             }
             (IrExpr::Const(Value::F64(p)), IrExpr::Udf { name, args })
                 if name == "random" && args.is_empty() =>
@@ -888,19 +575,16 @@ impl<'a> Compiler<'a> {
                     IrBinOp::Ge => CmpOp::Le,
                     _ => return Ok(None),
                 };
-                (true, *p, cmp)
+                (*p, cmp)
             }
             _ => return Ok(None),
         };
-        if !rand_side {
-            return Ok(None);
-        }
-        let threshold = if const_side <= 0.0 {
+        let threshold = if p <= 0.0 {
             0u64
-        } else if const_side >= 1.0 {
+        } else if p >= 1.0 {
             u64::MAX
         } else {
-            (const_side * u64::MAX as f64) as u64
+            (p * u64::MAX as f64) as u64
         };
         let saved = self.next_reg;
         let r = self.alloc()?;
@@ -910,10 +594,6 @@ impl<'a> Compiler<'a> {
             dst: t,
             imm: threshold,
         });
-        let out = saved; // reuse
-        self.emit(Insn::LdImm { dst: out, imm: 1 });
-        // out pre-set to 1 clobbers r! Allocate distinct output register.
-        self.insns.pop();
         let out = self.alloc()?;
         self.emit(Insn::LdImm { dst: out, imm: 1 });
         self.emit(Insn::JmpIf {
@@ -933,35 +613,13 @@ impl<'a> Compiler<'a> {
     }
 }
 
-fn compile_stmts(element: &ElementIr, stmts: &[IrStmt]) -> Result<EbpfProgram, String> {
-    // The IR does not carry schema types; recover them from the element's
-    // statements is impossible, so the compiler receives them via the
-    // element's recorded field usage. We approximate with the universal
-    // scalar assumption and reject at LdField via `field_types`. The chain
-    // compiler (dataplane) passes real schemas through `compile_for_schema`.
-    compile_stmts_typed(element, stmts, None)
-}
-
-/// Compiles with explicit schema field types (used by the dataplane).
-pub fn compile_for_schema(
-    element: &ElementIr,
-    request_types: &[ValueType],
-    response_types: &[ValueType],
-) -> Result<EbpfElement, String> {
-    let mut compiled = compile(element)?;
-    // Re-compile with accurate types (compile() used conservative types).
-    compiled.request = compile_stmts_typed(element, &element.request, Some(request_types))?;
-    compiled.response = compile_stmts_typed(element, &element.response, Some(response_types))?;
-    verify(&compiled.request, element.tables.len())?;
-    verify(&compiled.response, element.tables.len())?;
-    Ok(compiled)
-}
-
-fn compile_stmts_typed(
+/// Compiles one direction's statements and assembles the result onto the
+/// real encoding.
+fn compile_program(
     element: &ElementIr,
     stmts: &[IrStmt],
     field_types: Option<&[ValueType]>,
-) -> Result<EbpfProgram, String> {
+) -> Result<Vec<BpfInsn>, String> {
     // Without explicit types, infer a maximal scalar schema: every field
     // index referenced is assumed u64 except those passed to len(), which
     // are bytes. This keeps `compile` usable as a feasibility check.
@@ -1016,7 +674,14 @@ fn compile_stmts_typed(
     c.emit(Insn::Ret {
         verdict: RET_FORWARD,
     });
-    Ok(EbpfProgram { insns: c.insns })
+    let encoded = isa::assemble(&c.insns)?;
+    if encoded.len() > MAX_INSNS {
+        return Err(format!(
+            "program has {} instruction slots, limit is {MAX_INSNS}",
+            encoded.len()
+        ));
+    }
+    Ok(encoded)
 }
 
 fn compile_stmt(
@@ -1381,6 +1046,7 @@ fn extract_keyed_condition(cond: &IrExpr, key_col: usize) -> Option<&IrExpr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udf_impl::UdfRuntime;
     use adn_dsl::parser::parse_element;
     use adn_dsl::typecheck::check_element;
     use adn_rpc::schema::RpcSchema;
@@ -1420,11 +1086,28 @@ mod tests {
         compile_for_schema(&e, &rt, &pt)
     }
 
+    /// Runs the encoded request program against fresh maps.
     fn run_request(element: &EbpfElement, fields: &mut [Value], seed: u64) -> EbpfVerdict {
         let mut maps = EbpfMaps::for_element(element);
+        run_with(
+            element,
+            fields,
+            &mut maps,
+            seed,
+            &mut RouteDecision::default(),
+        )
+    }
+
+    fn run_with(
+        element: &EbpfElement,
+        fields: &mut [Value],
+        maps: &mut EbpfMaps,
+        seed: u64,
+        route: &mut RouteDecision,
+    ) -> EbpfVerdict {
         let mut udf = UdfRuntime::new(seed);
-        let mut route = RouteDecision::default();
-        execute(&element.request, fields, &mut maps, &mut udf, &mut route)
+        isa::execute_encoded(&element.request, fields, maps, &mut udf, route)
+            .unwrap_or_else(|e| panic!("encoded program faulted: {e}"))
     }
 
     const NUMERIC_ACL: &str = r#"
@@ -1436,13 +1119,6 @@ mod tests {
             }
         }
     "#;
-
-    #[test]
-    fn numeric_acl_compiles_and_verifies() {
-        let compiled = compile_full(NUMERIC_ACL).unwrap();
-        verify(&compiled.request, 1).unwrap();
-        assert_eq!(compiled.map_inits[0].len(), 2);
-    }
 
     #[test]
     fn numeric_acl_executes_correctly() {
@@ -1512,15 +1188,8 @@ mod tests {
         .unwrap();
         let mut fields = vec![Value::U64(1), Value::U64(42), Value::Bytes(vec![])];
         let mut maps = EbpfMaps::for_element(&compiled);
-        let mut udf = UdfRuntime::new(0);
         let mut route = RouteDecision::default();
-        let v = execute(
-            &compiled.request,
-            &mut fields,
-            &mut maps,
-            &mut udf,
-            &mut route,
-        );
+        let v = run_with(&compiled, &mut fields, &mut maps, 0, &mut route);
         assert_eq!(v, EbpfVerdict::Forward);
         assert_eq!(route.key_hash, Some(Value::U64(42).stable_hash()));
     }
@@ -1541,79 +1210,13 @@ mod tests {
         )
         .unwrap();
         let mut maps = EbpfMaps::for_element(&compiled);
-        let mut udf = UdfRuntime::new(0);
-        let mut route = RouteDecision::default();
         for _ in 0..3 {
             let mut fields = vec![Value::U64(7), Value::U64(0), Value::Bytes(vec![])];
-            execute(
-                &compiled.request,
-                &mut fields,
-                &mut maps,
-                &mut udf,
-                &mut route,
-            );
+            let mut route = RouteDecision::default();
+            run_with(&compiled, &mut fields, &mut maps, 0, &mut route);
         }
         // INSERT is if-absent (once, value 0); UPDATE bumps per message.
         assert_eq!(maps.maps[0][&7], 3);
-    }
-
-    #[test]
-    fn verifier_rejects_uninitialized_register_read() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::Mov { dst: 2, src: 3 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        let err = verify(&prog, 0).unwrap_err();
-        assert!(err.contains("uninitialized"), "{err}");
-    }
-
-    #[test]
-    fn verifier_rejects_fallthrough() {
-        let prog = EbpfProgram {
-            insns: vec![Insn::LdImm { dst: 1, imm: 0 }],
-        };
-        assert!(verify(&prog, 0).is_err());
-    }
-
-    #[test]
-    fn verifier_rejects_out_of_range_jump() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::Jmp { off: 99 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        assert!(verify(&prog, 0).is_err());
-    }
-
-    #[test]
-    fn verifier_rejects_maplookup_miss_path_using_dst() {
-        // On the miss path, dst is uninitialized; using it must fail.
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdImm { dst: 1, imm: 5 },
-                Insn::MapLookup {
-                    map: 0,
-                    key: 1,
-                    dst: 2,
-                    miss_off: 0,
-                },
-                // Fallthrough AND miss path both arrive here; dst only init
-                // on fallthrough → meet says uninitialized.
-                Insn::Mov { dst: 3, src: 2 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        let err = verify(&prog, 1).unwrap_err();
-        assert!(err.contains("uninitialized"), "{err}");
     }
 
     #[test]
@@ -1625,6 +1228,18 @@ mod tests {
         let mut fields = vec![Value::U64(0), Value::U64(100), Value::Bytes(vec![])];
         assert_eq!(run_request(&compiled, &mut fields, 0), EbpfVerdict::Forward);
         assert_eq!(fields[1], Value::U64(0));
+    }
+
+    #[test]
+    fn oversized_program_is_rejected() {
+        // Straight-line, so every path is short, but the encoded program
+        // exceeds the kernel's size limit.
+        let body = "SET object_id = input.object_id + 1; ".repeat(1000);
+        let err = compile_full(&format!(
+            "element Big() {{ on request {{ {body} SELECT * FROM input; }} }}"
+        ))
+        .unwrap_err();
+        assert!(err.contains("limit is 4096"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Real eBPF ISA: 64-bit instruction words, assembler, lifter, disassembler.
+//! Real eBPF ISA: 64-bit instruction words, assembler, disassembler,
+//! interpreter.
 //!
 //! This module gives the eBPF-sim backend a genuine BPF instruction
 //! encoding. Every instruction is the kernel's 64-bit `bpf_insn` layout —
@@ -7,32 +8,28 @@
 //! classes plus `CALL`, `EXIT` and the two-slot `lddw` form (including the
 //! `src_reg = BPF_PSEUDO_MAP_FD` map-handle variant real loaders emit).
 //!
-//! Three translations live here:
+//! Two translations live here:
 //!
-//! * [`assemble`] lowers an [`EbpfProgram`] (the restricted [`Insn`]
-//!   bytecode the compiler emits) onto the real ISA under the execution
-//!   model the kernel actually uses: message fields become `ldx`/`stx`
-//!   through a **context pointer** (saved into callee-saved `r9` by the
-//!   prologue), helpers become `call`s with arguments in `r1..r5` and the
-//!   result in `r0` (caller-saved registers are spilled to the `r10` stack
-//!   frame around each call, guided by a liveness analysis), and map
-//!   lookups become the canonical `call map_lookup_elem; if r0 == 0 goto
-//!   miss; ldx` null-checked pointer pattern.
-//! * [`lift`] inverts `assemble`: it pattern-matches the canonical
-//!   sequences back into [`Insn`]s. `lift(assemble(p).insns) == p` is the
-//!   **round-trip guarantee**, enforced by proptests, for every program in
-//!   canonical form (everything `ebpf::compile` emits).
+//! * `assemble` (crate-private) lowers the compiler's pseudo-instructions
+//!   ([`crate::ebpf`]) onto the real ISA under the execution model the
+//!   kernel actually uses: message fields become `ldx`/`stx` through a
+//!   **context pointer** (saved into callee-saved `r9` by the prologue),
+//!   helpers become `call`s with arguments in `r1..r5` and the result in
+//!   `r0` (caller-saved registers are spilled to the `r10` stack frame
+//!   around each call, guided by a liveness analysis), and map lookups
+//!   become the canonical `call map_lookup_elem; if r0 == 0 goto miss;
+//!   ldx` null-checked pointer pattern. The pseudo-instructions exist only
+//!   as its input.
 //! * [`disasm`] renders any instruction stream in the familiar
 //!   `r0 = r1`, `if r2 > 7 goto +5`, `exit` assembly style.
 //!
 //! The abstract-interpretation verifier (`adn_verifier::absint`) and the
-//! encoded-form interpreter ([`crate::ebpf::execute_encoded`]) both
-//! operate on this encoding, not on the legacy enum — so what is verified
-//! is what runs.
+//! interpreter ([`execute_encoded`]) both operate on this encoding, and
+//! it is the only form a compiled element takes — so what is verified is
+//! what runs.
 
 use crate::ebpf::{
-    AluOp, CmpOp, EbpfMaps, EbpfProgram, EbpfVerdict, Insn, RouteDecision, RET_ABORT, RET_DROP,
-    RET_FORWARD,
+    AluOp, CmpOp, EbpfMaps, EbpfVerdict, Insn, RouteDecision, RET_ABORT, RET_DROP, RET_FORWARD,
 };
 use crate::udf_impl::UdfRuntime;
 use adn_rpc::value::{Value, ValueType};
@@ -532,20 +529,12 @@ pub fn disasm(insns: &[BpfInsn]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Assembler: legacy Insn program → real ISA
+// Assembler: compiler pseudo-instructions → real ISA
 // ---------------------------------------------------------------------------
 
-/// Result of assembling: the encoded stream plus the slot each legacy
-/// instruction starts at (with one trailing end sentinel).
-#[derive(Debug, Clone)]
-pub struct Assembled {
-    pub insns: Vec<BpfInsn>,
-    pub legacy_starts: Vec<usize>,
-}
-
-/// Registers a legacy instruction reads (`use` set, per successor edge:
+/// Registers a pseudo-instruction reads (`use` set, per successor edge:
 /// uses are identical on both edges).
-fn legacy_uses(insn: &Insn) -> Vec<u8> {
+fn insn_uses(insn: &Insn) -> Vec<u8> {
     match insn {
         Insn::LdImm { .. }
         | Insn::LdField { .. }
@@ -573,9 +562,9 @@ fn legacy_uses(insn: &Insn) -> Vec<u8> {
     }
 }
 
-/// Register a legacy instruction defines, if any (for `MapLookup` the def
+/// Register a pseudo-instruction defines, if any (for `MapLookup` the def
 /// happens only on the hit/fallthrough edge).
-fn legacy_def(insn: &Insn) -> Option<u8> {
+fn insn_def(insn: &Insn) -> Option<u8> {
     match insn {
         Insn::LdImm { dst, .. }
         | Insn::LdField { dst, .. }
@@ -589,14 +578,14 @@ fn legacy_def(insn: &Insn) -> Option<u8> {
     }
 }
 
-/// Live-register sets before each legacy instruction. Forward-only jumps
+/// Live-register sets before each pseudo-instruction. Forward-only jumps
 /// make one reverse pass exact (every successor index is greater).
-fn liveness(prog: &EbpfProgram) -> Vec<u16> {
-    let n = prog.insns.len();
+fn liveness(prog: &[Insn]) -> Vec<u16> {
+    let n = prog.len();
     let mut live = vec![0u16; n + 1];
     for i in (0..n).rev() {
-        let insn = &prog.insns[i];
-        let def_mask = legacy_def(insn).map(|r| 1u16 << r).unwrap_or(0);
+        let insn = &prog[i];
+        let def_mask = insn_def(insn).map(|r| 1u16 << r).unwrap_or(0);
         let mut out: u16 = 0;
         match insn {
             Insn::Ret { .. } => {}
@@ -608,7 +597,7 @@ fn liveness(prog: &EbpfProgram) -> Vec<u16> {
                 // dst is defined on the fallthrough (hit) edge only.
                 out = (live[i + 1] & !def_mask) | live[(i + 1 + *miss_off as usize).min(n)];
                 live[i] = out;
-                for r in legacy_uses(insn) {
+                for r in insn_uses(insn) {
                     live[i] |= 1 << r;
                 }
                 continue;
@@ -616,7 +605,7 @@ fn liveness(prog: &EbpfProgram) -> Vec<u16> {
             _ => out = live[i + 1],
         }
         live[i] = out & !def_mask;
-        for r in legacy_uses(insn) {
+        for r in insn_uses(insn) {
             live[i] |= 1 << r;
         }
     }
@@ -624,11 +613,11 @@ fn liveness(prog: &EbpfProgram) -> Vec<u16> {
 }
 
 /// Caller-saved registers (`r0..r5`) that must survive a helper call at
-/// legacy index `i`: live on some successor edge and not defined by the
+/// pseudo-instruction `i`: live on some successor edge and not defined by the
 /// call itself.
-fn spill_set(prog: &EbpfProgram, live: &[u16], i: usize) -> Vec<u8> {
-    let insn = &prog.insns[i];
-    let n = prog.insns.len();
+fn spill_set(prog: &[Insn], live: &[u16], i: usize) -> Vec<u8> {
+    let insn = &prog[i];
+    let n = prog.len();
     let mut out_live: u16 = match insn {
         Insn::MapLookup { miss_off, .. } => {
             live.get(i + 1).copied().unwrap_or(0)
@@ -639,7 +628,7 @@ fn spill_set(prog: &EbpfProgram, live: &[u16], i: usize) -> Vec<u8> {
         }
         _ => live.get(i + 1).copied().unwrap_or(0),
     };
-    if let Some(d) = legacy_def(insn) {
+    if let Some(d) = insn_def(insn) {
         out_live &= !(1 << d);
     }
     (0u8..6).filter(|r| out_live & (1 << r) != 0).collect()
@@ -656,7 +645,6 @@ fn alu_opcode(op: AluOp) -> (u8, i16) {
         AluOp::ModS => (BPF_MOD, OFF_SDIV),
         AluOp::And => (BPF_AND, 0),
         AluOp::Or => (BPF_OR, 0),
-        AluOp::Xor => (BPF_XOR, 0),
     }
 }
 
@@ -675,7 +663,7 @@ fn cmp_opcode(cmp: CmpOp, signed: bool) -> u8 {
     }
 }
 
-/// Encoded slot count for one legacy instruction given its spill count.
+/// Encoded slot count for one pseudo-instruction given its spill count.
 fn seq_len(insn: &Insn, spills: usize) -> usize {
     let s = spills;
     match insn {
@@ -704,13 +692,14 @@ fn seq_len(insn: &Insn, spills: usize) -> usize {
     }
 }
 
-/// Assembles a legacy program onto the real ISA. Fails when the program
-/// uses registers the real encoding reserves (`r9` context, `r10` frame).
-pub fn assemble(prog: &EbpfProgram) -> Result<Assembled, String> {
-    let n = prog.insns.len();
-    for (i, insn) in prog.insns.iter().enumerate() {
-        let mut regs = legacy_uses(insn);
-        regs.extend(legacy_def(insn));
+/// Assembles a compiled pseudo-instruction program onto the real ISA.
+/// Fails when the program uses registers the real encoding reserves (`r9`
+/// context, `r10` frame).
+pub(crate) fn assemble(prog: &[Insn]) -> Result<Vec<BpfInsn>, String> {
+    let n = prog.len();
+    for (i, insn) in prog.iter().enumerate() {
+        let mut regs = insn_uses(insn);
+        regs.extend(insn_def(insn));
         if let Some(r) = regs.iter().find(|r| **r >= CTX_REG) {
             return Err(format!(
                 "insn {i}: register r{r} is reserved in the real ISA encoding"
@@ -720,7 +709,7 @@ pub fn assemble(prog: &EbpfProgram) -> Result<Assembled, String> {
 
     let live = liveness(prog);
     let spills: Vec<Vec<u8>> = (0..n)
-        .map(|i| match prog.insns[i] {
+        .map(|i| match prog[i] {
             Insn::HashField { .. }
             | Insn::LenField { .. }
             | Insn::Rand { .. }
@@ -733,17 +722,17 @@ pub fn assemble(prog: &EbpfProgram) -> Result<Assembled, String> {
         })
         .collect();
 
-    // Layout pass: slot each legacy instruction starts at (prologue = 1).
+    // Layout pass: slot each pseudo-instruction starts at (prologue = 1).
     let mut starts = Vec::with_capacity(n + 1);
     let mut at = 1usize;
-    for (i, insn) in prog.insns.iter().enumerate() {
+    for (i, insn) in prog.iter().enumerate() {
         starts.push(at);
         at += seq_len(insn, spills[i].len());
     }
     starts.push(at);
 
     // Encoded branch offset from the slot holding the jump to the start of
-    // legacy instruction `target`.
+    // pseudo-instruction `target`.
     let enc_off = |jump_slot: usize, target: usize| -> Result<i16, String> {
         let t = starts[target.min(n)];
         let delta = t as i64 - (jump_slot as i64 + 1);
@@ -753,8 +742,8 @@ pub fn assemble(prog: &EbpfProgram) -> Result<Assembled, String> {
     let mut out: Vec<BpfInsn> = Vec::with_capacity(at);
     out.push(mov64_reg(CTX_REG, 1)); // prologue: save ctx pointer
 
-    for (i, insn) in prog.insns.iter().enumerate() {
-        debug_assert_eq!(out.len(), starts[i], "layout drift at legacy insn {i}");
+    for (i, insn) in prog.iter().enumerate() {
+        debug_assert_eq!(out.len(), starts[i], "layout drift at pseudo-insn {i}");
         let sp = &spills[i];
         let emit_spills = |out: &mut Vec<BpfInsn>| {
             for &r in sp {
@@ -894,467 +883,7 @@ pub fn assemble(prog: &EbpfProgram) -> Result<Assembled, String> {
         }
     }
     debug_assert_eq!(out.len(), at, "layout drift at program end");
-    Ok(Assembled {
-        insns: out,
-        legacy_starts: starts,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Lifter: canonical real-ISA stream → legacy Insn program
-// ---------------------------------------------------------------------------
-
-struct Lifter<'a> {
-    insns: &'a [BpfInsn],
-    pc: usize,
-    out: Vec<Insn>,
-    /// Slot each lifted legacy instruction started at.
-    starts: Vec<usize>,
-    /// (legacy index, encoded target slot) pairs to re-point after lifting.
-    fixups: Vec<(usize, usize)>,
-}
-
-impl<'a> Lifter<'a> {
-    fn peek(&self, ahead: usize) -> Option<BpfInsn> {
-        self.insns.get(self.pc + ahead).copied()
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("slot {}: not a canonical sequence: {what}", self.pc)
-    }
-
-    /// Matches `count` consecutive spill stores, returning the registers.
-    fn match_spills(&self) -> Vec<u8> {
-        let mut regs = Vec::new();
-        let mut at = 0;
-        while let Some(i) = self.peek(at) {
-            if i.opcode == BPF_STX | BPF_MEM | BPF_DW
-                && i.dst == FP_REG
-                && i.src < 6
-                && i.off == spill_slot(i.src)
-            {
-                regs.push(i.src);
-                at += 1;
-            } else {
-                break;
-            }
-        }
-        regs
-    }
-
-    /// Consumes `regs.len()` restore loads matching `regs`.
-    fn expect_restores(&mut self, regs: &[u8]) -> Result<(), String> {
-        for &r in regs {
-            let i = self.peek(0).ok_or_else(|| self.err("truncated restores"))?;
-            if i.opcode != BPF_LDX | BPF_MEM | BPF_DW
-                || i.dst != r
-                || i.src != FP_REG
-                || i.off != spill_slot(r)
-            {
-                return Err(self.err("restore sequence mismatch"));
-            }
-            self.pc += 1;
-        }
-        Ok(())
-    }
-
-    fn expect(&mut self, want: BpfInsn, what: &str) -> Result<(), String> {
-        if self.peek(0) != Some(want) {
-            return Err(self.err(what));
-        }
-        self.pc += 1;
-        Ok(())
-    }
-
-    fn lift_all(mut self) -> Result<(EbpfProgram, Vec<usize>), String> {
-        // Prologue.
-        if self.peek(0) != Some(mov64_reg(CTX_REG, 1)) {
-            return Err("missing `r9 = r1` prologue".into());
-        }
-        self.pc = 1;
-        while self.pc < self.insns.len() {
-            self.starts.push(self.pc);
-            self.lift_one()?;
-        }
-        self.starts.push(self.pc);
-        // Re-point branch targets from encoded slots to legacy indices.
-        let starts = self.starts.clone();
-        let legacy_index = |slot: usize| -> Result<usize, String> {
-            starts
-                .binary_search(&slot)
-                .map_err(|_| format!("branch target slot {slot} is mid-sequence"))
-        };
-        for (li, slot) in self.fixups {
-            let target = legacy_index(slot)?;
-            let off = target
-                .checked_sub(li + 1)
-                .ok_or_else(|| format!("backward branch to legacy insn {target}"))?
-                as u16;
-            match &mut self.out[li] {
-                Insn::Jmp { off: o } => *o = off,
-                Insn::JmpIf { off: o, .. } => *o = off,
-                Insn::MapLookup { miss_off, .. } => *miss_off = off,
-                other => unreachable!("fixup on non-jump {other:?}"),
-            }
-        }
-        Ok((EbpfProgram { insns: self.out }, starts))
-    }
-
-    fn lift_one(&mut self) -> Result<(), String> {
-        let insn = self.peek(0).expect("in range");
-        let li = self.out.len();
-
-        // Helper sequences: spill prefix then a discriminating body.
-        let sp = self.match_spills();
-        if !sp.is_empty() || self.is_helper_body(sp.len()) {
-            self.pc += sp.len();
-            return self.lift_helper(sp);
-        }
-
-        match insn.class() {
-            BPF_LD if insn.is_lddw() => {
-                let hi = self.peek(1).ok_or_else(|| self.err("truncated lddw"))?;
-                if insn.src != 0 || hi != lddw(insn.dst, lddw_imm(insn, hi))[1] {
-                    return Err(self.err("unexpected lddw form"));
-                }
-                self.out.push(Insn::LdImm {
-                    dst: insn.dst,
-                    imm: lddw_imm(insn, hi),
-                });
-                self.pc += 2;
-            }
-            BPF_LDX => {
-                if insn.opcode != BPF_LDX | BPF_MEM | BPF_DW
-                    || insn.src != CTX_REG
-                    || insn.off < 0
-                    || insn.off % 8 != 0
-                {
-                    return Err(self.err("non-context load"));
-                }
-                self.out.push(Insn::LdField {
-                    dst: insn.dst,
-                    field: (insn.off / 8) as u16,
-                });
-                self.pc += 1;
-            }
-            BPF_STX => {
-                if insn.opcode != BPF_STX | BPF_MEM | BPF_DW
-                    || insn.dst != CTX_REG
-                    || insn.off < 0
-                    || insn.off % 8 != 0
-                {
-                    return Err(self.err("non-context store"));
-                }
-                self.out.push(Insn::StField {
-                    field: (insn.off / 8) as u16,
-                    src: insn.src,
-                });
-                self.pc += 1;
-            }
-            BPF_ALU64 => self.lift_alu64(insn)?,
-            BPF_JMP => match insn.op() {
-                BPF_JA => {
-                    let target = (self.pc as i64 + 1 + insn.off as i64) as usize;
-                    self.out.push(Insn::Jmp { off: 0 });
-                    self.fixups.push((li, target));
-                    self.pc += 1;
-                }
-                BPF_EXIT => return Err(self.err("bare exit outside a Ret sequence")),
-                BPF_CALL => return Err(self.err("call without canonical spill frame")),
-                op => {
-                    if !insn.is_reg_src() {
-                        // Only LogicalNot emits K-source jumps, handled below.
-                        return self.lift_logical_not(insn);
-                    }
-                    let (cmp, signed) = match op {
-                        BPF_JEQ => (CmpOp::Eq, false),
-                        BPF_JNE => (CmpOp::Ne, false),
-                        BPF_JLT => (CmpOp::Lt, false),
-                        BPF_JLE => (CmpOp::Le, false),
-                        BPF_JGT => (CmpOp::Gt, false),
-                        BPF_JGE => (CmpOp::Ge, false),
-                        BPF_JSLT => (CmpOp::Lt, true),
-                        BPF_JSLE => (CmpOp::Le, true),
-                        BPF_JSGT => (CmpOp::Gt, true),
-                        BPF_JSGE => (CmpOp::Ge, true),
-                        _ => return Err(self.err("unsupported jump op")),
-                    };
-                    let target = (self.pc as i64 + 1 + insn.off as i64) as usize;
-                    self.out.push(Insn::JmpIf {
-                        cmp,
-                        signed,
-                        a: insn.dst,
-                        b: insn.src,
-                        off: 0,
-                    });
-                    self.fixups.push((li, target));
-                    self.pc += 1;
-                }
-            },
-            _ => return Err(self.err("unsupported instruction class")),
-        }
-        Ok(())
-    }
-
-    fn lift_alu64(&mut self, insn: BpfInsn) -> Result<(), String> {
-        if insn.op() == BPF_NEG {
-            self.out.push(Insn::Neg { dst: insn.dst });
-            self.pc += 1;
-            return Ok(());
-        }
-        // Ret sequences are the only K-source ALU64 uses.
-        if !insn.is_reg_src() {
-            if insn.op() == BPF_MOV
-                && insn.dst == 0
-                && (insn.imm == 0 || insn.imm == 1)
-                && self.peek(1) == Some(exit())
-            {
-                self.out.push(Insn::Ret {
-                    verdict: insn.imm as u8,
-                });
-                self.pc += 2;
-                return Ok(());
-            }
-            if insn == alu64_imm(BPF_LSH, 0, 8)
-                && self.peek(1) == Some(alu64_imm(BPF_OR, 0, RET_ABORT as i32))
-                && self.peek(2) == Some(exit())
-            {
-                self.out.push(Insn::Ret { verdict: RET_ABORT });
-                self.pc += 3;
-                return Ok(());
-            }
-            return Err(self.err("unexpected immediate ALU"));
-        }
-        if insn.op() == BPF_MOV {
-            self.out.push(Insn::Mov {
-                dst: insn.dst,
-                src: insn.src,
-            });
-            self.pc += 1;
-            return Ok(());
-        }
-        let op = match (insn.op(), insn.off) {
-            (BPF_ADD, 0) => AluOp::Add,
-            (BPF_SUB, 0) => AluOp::Sub,
-            (BPF_MUL, 0) => AluOp::Mul,
-            (BPF_DIV, 0) => AluOp::DivU,
-            (BPF_MOD, 0) => AluOp::ModU,
-            (BPF_DIV, OFF_SDIV) => AluOp::DivS,
-            (BPF_MOD, OFF_SDIV) => AluOp::ModS,
-            (BPF_AND, 0) => AluOp::And,
-            (BPF_OR, 0) => AluOp::Or,
-            (BPF_XOR, 0) => AluOp::Xor,
-            _ => return Err(self.err("unsupported ALU op")),
-        };
-        self.out.push(Insn::Alu {
-            op,
-            dst: insn.dst,
-            src: insn.src,
-        });
-        self.pc += 1;
-        Ok(())
-    }
-
-    /// `jeq dst, 0, +2; dst = 0; goto +1; dst = 1` — LogicalNot.
-    fn lift_logical_not(&mut self, insn: BpfInsn) -> Result<(), String> {
-        let dst = insn.dst;
-        if insn == jmp_imm(BPF_JEQ, dst, 0, 2)
-            && self.peek(1) == Some(mov64_imm(dst, 0))
-            && self.peek(2) == Some(ja(1))
-            && self.peek(3) == Some(mov64_imm(dst, 1))
-        {
-            self.out.push(Insn::LogicalNot { dst });
-            self.pc += 4;
-            return Ok(());
-        }
-        Err(self.err("immediate jump outside a LogicalNot sequence"))
-    }
-
-    /// Whether the slots at `pc + spills` look like a helper body.
-    fn is_helper_body(&self, spills: usize) -> bool {
-        let at = |k: usize| self.peek(spills + k);
-        match at(0) {
-            Some(i) if i.opcode == BPF_JMP | BPF_CALL => true, // rand/now
-            Some(i) if i == mov64_reg(1, i.src) && i.op() == BPF_MOV && i.is_reg_src() => {
-                matches!(at(1), Some(c) if c.opcode == BPF_JMP | BPF_CALL && c.imm == HELPER_ROUTE)
-            }
-            Some(i)
-                if i.op() == BPF_MOV && !i.is_reg_src() && i.dst == 1 && i.class() == BPF_ALU64 =>
-            {
-                matches!(at(1), Some(c) if c.opcode == BPF_JMP | BPF_CALL
-                    && (c.imm == HELPER_HASH_FIELD || c.imm == HELPER_LEN_FIELD))
-            }
-            Some(i)
-                if i.opcode == BPF_STX | BPF_MEM | BPF_DW
-                    && i.dst == FP_REG
-                    && (i.off == KEY_SLOT || i.off == VAL_SLOT) =>
-            {
-                true // map helper
-            }
-            _ => false,
-        }
-    }
-
-    fn lift_helper(&mut self, sp: Vec<u8>) -> Result<(), String> {
-        let li = self.out.len();
-        let body = self.peek(0).ok_or_else(|| self.err("truncated helper"))?;
-
-        // rand/now: `call id; dst = r0`.
-        if body.opcode == BPF_JMP | BPF_CALL
-            && (body.imm == HELPER_GET_PRANDOM || body.imm == HELPER_KTIME_GET_NS)
-        {
-            self.pc += 1;
-            let mv = self.peek(0).ok_or_else(|| self.err("truncated helper"))?;
-            if mv.op() != BPF_MOV || !mv.is_reg_src() || mv.src != 0 || mv.class() != BPF_ALU64 {
-                return Err(self.err("helper result move missing"));
-            }
-            self.pc += 1;
-            self.expect_restores(&sp)?;
-            self.out.push(if body.imm == HELPER_GET_PRANDOM {
-                Insn::Rand { dst: mv.dst }
-            } else {
-                Insn::Now { dst: mv.dst }
-            });
-            return Ok(());
-        }
-
-        // hash/len: `r1 = field; call id; dst = r0`.
-        if body.op() == BPF_MOV && !body.is_reg_src() && body.dst == 1 && body.class() == BPF_ALU64
-        {
-            let field = body.imm as u16;
-            let c = self.peek(1).ok_or_else(|| self.err("truncated helper"))?;
-            if c.opcode != BPF_JMP | BPF_CALL
-                || (c.imm != HELPER_HASH_FIELD && c.imm != HELPER_LEN_FIELD)
-            {
-                return Err(self.err("expected hash/len call"));
-            }
-            let mv = self.peek(2).ok_or_else(|| self.err("truncated helper"))?;
-            if mv.op() != BPF_MOV || !mv.is_reg_src() || mv.src != 0 || mv.class() != BPF_ALU64 {
-                return Err(self.err("helper result move missing"));
-            }
-            self.pc += 3;
-            self.expect_restores(&sp)?;
-            self.out.push(if c.imm == HELPER_HASH_FIELD {
-                Insn::HashField { dst: mv.dst, field }
-            } else {
-                Insn::LenField { dst: mv.dst, field }
-            });
-            return Ok(());
-        }
-
-        // route: `r1 = key; call route`.
-        if body.op() == BPF_MOV && body.is_reg_src() && body.dst == 1 && body.class() == BPF_ALU64 {
-            let c = self.peek(1).ok_or_else(|| self.err("truncated helper"))?;
-            if c.opcode != BPF_JMP | BPF_CALL || c.imm != HELPER_ROUTE {
-                return Err(self.err("expected route call"));
-            }
-            self.pc += 2;
-            self.expect_restores(&sp)?;
-            self.out.push(Insn::Route { key_hash: body.src });
-            return Ok(());
-        }
-
-        // map helpers: key (and maybe value) stashed to scratch slots.
-        if body.opcode == BPF_STX | BPF_MEM | BPF_DW && body.dst == FP_REG && body.off == KEY_SLOT {
-            let key = body.src;
-            self.pc += 1;
-            let next = self
-                .peek(0)
-                .ok_or_else(|| self.err("truncated map helper"))?;
-            let value = if next.opcode == BPF_STX | BPF_MEM | BPF_DW
-                && next.dst == FP_REG
-                && next.off == VAL_SLOT
-            {
-                self.pc += 1;
-                Some(next.src)
-            } else {
-                None
-            };
-            // `lddw r1, map` (pseudo), `r2 = r10; r2 += KEY_SLOT`.
-            let lo = self
-                .peek(0)
-                .ok_or_else(|| self.err("truncated map helper"))?;
-            let hi = self
-                .peek(1)
-                .ok_or_else(|| self.err("truncated map helper"))?;
-            if !lo.is_lddw() || lo.src != BPF_PSEUDO_MAP_FD || lo.dst != 1 {
-                return Err(self.err("expected map-handle lddw"));
-            }
-            let map = lddw_imm(lo, hi) as u8;
-            self.pc += 2;
-            self.expect(mov64_reg(2, FP_REG), "expected `r2 = r10`")?;
-            self.expect(
-                alu64_imm(BPF_ADD, 2, KEY_SLOT as i32),
-                "expected key offset",
-            )?;
-            if let Some(value) = value {
-                self.expect(mov64_reg(3, FP_REG), "expected `r3 = r10`")?;
-                self.expect(
-                    alu64_imm(BPF_ADD, 3, VAL_SLOT as i32),
-                    "expected val offset",
-                )?;
-                self.expect(call(HELPER_MAP_UPDATE), "expected map_update call")?;
-                self.expect_restores(&sp)?;
-                self.out.push(Insn::MapUpdate { map, key, value });
-                return Ok(());
-            }
-            let c = self
-                .peek(0)
-                .ok_or_else(|| self.err("truncated map helper"))?;
-            self.pc += 1;
-            match c.imm {
-                HELPER_MAP_DELETE if c.opcode == BPF_JMP | BPF_CALL => {
-                    self.expect_restores(&sp)?;
-                    self.out.push(Insn::MapDelete { map, key });
-                    Ok(())
-                }
-                HELPER_MAP_LOOKUP if c.opcode == BPF_JMP | BPF_CALL => {
-                    let s = sp.len() as i16;
-                    self.expect(jmp_imm(BPF_JEQ, 0, 0, s + 2), "expected null check")?;
-                    let ld = self.peek(0).ok_or_else(|| self.err("truncated lookup"))?;
-                    if ld.opcode != BPF_LDX | BPF_MEM | BPF_DW || ld.src != 0 || ld.off != 0 {
-                        return Err(self.err("expected value load through r0"));
-                    }
-                    self.pc += 1;
-                    self.expect_restores(&sp)?;
-                    self.expect(ja(s + 1), "expected hit-path jump")?;
-                    self.expect_restores(&sp)?;
-                    let miss = self.peek(0).ok_or_else(|| self.err("truncated lookup"))?;
-                    if miss.opcode != BPF_JMP | BPF_JA {
-                        return Err(self.err("expected miss-path jump"));
-                    }
-                    let target = (self.pc as i64 + 1 + miss.off as i64) as usize;
-                    self.pc += 1;
-                    self.out.push(Insn::MapLookup {
-                        map,
-                        key,
-                        dst: ld.dst,
-                        miss_off: 0,
-                    });
-                    self.fixups.push((li, target));
-                    Ok(())
-                }
-                _ => Err(self.err("unexpected map helper call")),
-            }
-        } else {
-            Err(self.err("unrecognized helper body"))
-        }
-    }
-}
-
-/// Lifts a canonical encoded stream back to the legacy program. This is
-/// the inverse of [`assemble`] for canonical form; arbitrary streams that
-/// do not follow the canonical sequences are rejected.
-pub fn lift(insns: &[BpfInsn]) -> Result<EbpfProgram, String> {
-    Lifter {
-        insns,
-        pc: 0,
-        out: Vec::new(),
-        starts: Vec::new(),
-        fixups: Vec::new(),
-    }
-    .lift_all()
-    .map(|(prog, _)| prog)
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1370,7 +899,7 @@ pub const MAP_BASE: u64 = 0x4000_0000_0000;
 
 /// Deterministic junk a helper call writes into the caller-saved argument
 /// registers `r1..r5`, so programs that wrongly rely on them surviving a
-/// call fail loudly (and differ visibly from the legacy interpreter).
+/// call fail loudly.
 pub const CLOBBER: u64 = 0xdead_beef_0000_0000;
 
 /// Execution budget: the encoding permits backward jumps, so interpretation
@@ -1486,10 +1015,10 @@ impl Mem<'_> {
 
 /// Executes an encoded stream under the real ABI: `r1` = context pointer,
 /// `r10` = frame pointer, helpers via `call`, verdict in `r0`'s low byte
-/// with the abort code in bits 8..40. The legacy [`crate::ebpf::execute`]
-/// and this interpreter agree on every assembled program — the conformance
-/// suite enforces it. Unverified streams get fuel-limited, error-checked
-/// execution instead of undefined behavior.
+/// with the abort code in bits 8..40. This is the only eBPF interpreter:
+/// the adapter runs compiled elements through it, and the conformance
+/// corpus pins its semantics. Unverified streams get fuel-limited,
+/// error-checked execution instead of undefined behavior.
 pub fn execute_encoded(
     insns: &[BpfInsn],
     fields: &mut [Value],
@@ -1791,94 +1320,42 @@ mod tests {
         assert_eq!(lddw_imm(lo, hi), 3);
     }
 
-    #[test]
-    fn assemble_lift_roundtrip_simple() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdImm { dst: 1, imm: 42 },
-                Insn::LdField { dst: 2, field: 0 },
-                Insn::Alu {
-                    op: AluOp::Add,
-                    dst: 2,
-                    src: 1,
-                },
-                Insn::StField { field: 1, src: 2 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        let asm = assemble(&prog).unwrap();
-        assert_eq!(lift(&asm.insns).unwrap(), prog);
+    /// Assembles `prog` and runs it on the encoded interpreter, returning
+    /// the verdict, the route decision, and the mutated fields and maps.
+    fn run(
+        prog: &[Insn],
+        mut fields: Vec<Value>,
+        mut maps: EbpfMaps,
+        seed: u64,
+    ) -> (EbpfVerdict, RouteDecision, Vec<Value>, EbpfMaps) {
+        let mut udf = UdfRuntime::new(seed);
+        let mut route = RouteDecision::default();
+        let asm = assemble(prog).unwrap();
+        let v = execute_encoded(&asm, &mut fields, &mut maps, &mut udf, &mut route).unwrap();
+        (v, route, fields, maps)
     }
 
-    #[test]
-    fn assemble_lift_roundtrip_jumps_and_helpers() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::Rand { dst: 1 },
-                Insn::LdImm { dst: 2, imm: 10 },
-                Insn::JmpIf {
-                    cmp: CmpOp::Lt,
-                    signed: false,
-                    a: 1,
-                    b: 2,
-                    off: 2,
-                },
-                Insn::HashField { dst: 3, field: 1 },
-                Insn::Route { key_hash: 3 },
-                Insn::Ret { verdict: RET_DROP },
-            ],
-        };
-        let asm = assemble(&prog).unwrap();
-        assert_eq!(lift(&asm.insns).unwrap(), prog);
-    }
-
-    #[test]
-    fn assemble_lift_roundtrip_maps() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdField { dst: 1, field: 0 },
-                Insn::MapLookup {
-                    map: 0,
-                    key: 1,
-                    dst: 2,
-                    miss_off: 2,
-                },
-                Insn::MapUpdate {
-                    map: 0,
-                    key: 1,
-                    value: 2,
-                },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-                Insn::MapDelete { map: 0, key: 1 },
-                Insn::Ret { verdict: RET_DROP },
-            ],
-        };
-        let asm = assemble(&prog).unwrap();
-        assert_eq!(lift(&asm.insns).unwrap(), prog);
+    fn one_map(entries: &[(u64, u64)]) -> EbpfMaps {
+        EbpfMaps {
+            maps: vec![entries.iter().copied().collect()],
+        }
     }
 
     #[test]
     fn lookup_emits_null_checked_pointer_pattern() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdField { dst: 1, field: 0 },
-                Insn::MapLookup {
-                    map: 0,
-                    key: 1,
-                    dst: 2,
-                    miss_off: 0,
-                },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        let asm = assemble(&prog).unwrap();
-        let text = disasm(&asm.insns);
+        let prog = vec![
+            Insn::LdField { dst: 1, field: 0 },
+            Insn::MapLookup {
+                map: 0,
+                key: 1,
+                dst: 2,
+                miss_off: 0,
+            },
+            Insn::Ret {
+                verdict: RET_FORWARD,
+            },
+        ];
+        let text = disasm(&assemble(&prog).unwrap());
         assert!(text.contains("call map_lookup_elem"), "{text}");
         assert!(text.contains("if r0 == 0 goto"), "{text}");
         assert!(text.contains("*(u64 *)(r0 +0)"), "{text}");
@@ -1886,111 +1363,124 @@ mod tests {
 
     #[test]
     fn abort_encodes_verdict_in_low_byte() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdImm { dst: 0, imm: 7 },
-                Insn::Ret { verdict: RET_ABORT },
-            ],
-        };
-        let asm = assemble(&prog).unwrap();
-        let text = disasm(&asm.insns);
+        let prog = vec![
+            Insn::LdImm { dst: 0, imm: 7 },
+            Insn::Ret { verdict: RET_ABORT },
+        ];
+        let text = disasm(&assemble(&prog).unwrap());
         assert!(text.contains("r0 <<= 8"), "{text}");
         assert!(text.contains("r0 |= 2"), "{text}");
-        assert_eq!(lift(&asm.insns).unwrap(), prog);
+        let (v, ..) = run(&prog, vec![], EbpfMaps::default(), 0);
+        assert_eq!(v, EbpfVerdict::Abort { code: 7 });
     }
 
-    fn run_both(prog: &EbpfProgram, fields: Vec<Value>, seed: u64) {
-        let mut maps_a = EbpfMaps {
-            maps: vec![Default::default()],
-        };
-        let mut maps_b = maps_a.clone();
-        let mut fields_a = fields.clone();
-        let mut fields_b = fields;
-        let mut udf_a = UdfRuntime::new(seed);
-        let mut udf_b = UdfRuntime::new(seed);
-        let mut route_a = RouteDecision::default();
-        let mut route_b = RouteDecision::default();
-        let legacy =
-            crate::ebpf::execute(prog, &mut fields_a, &mut maps_a, &mut udf_a, &mut route_a);
-        let asm = assemble(prog).unwrap();
-        let encoded = execute_encoded(
-            &asm.insns,
-            &mut fields_b,
-            &mut maps_b,
-            &mut udf_b,
-            &mut route_b,
-        )
-        .unwrap();
-        assert_eq!(legacy, encoded);
-        assert_eq!(fields_a, fields_b);
-        assert_eq!(maps_a.maps, maps_b.maps);
-        assert_eq!(route_a, route_b);
-    }
+    // The two tests below pin the encoded execution of hand-written
+    // programs to the meaning of their pseudo-instructions (the semantics
+    // the legacy B-code defined) as concrete verdicts, fields and maps.
 
     #[test]
     fn encoded_execution_matches_legacy_on_stateful_program() {
-        // Keyed counter: lookup-or-drop, bump, write back, store to ctx.
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdField { dst: 1, field: 0 },
-                Insn::MapLookup {
-                    map: 0,
-                    key: 1,
-                    dst: 2,
-                    miss_off: 4,
-                },
-                Insn::LdImm { dst: 3, imm: 1 },
-                Insn::Alu {
-                    op: AluOp::Add,
-                    dst: 2,
-                    src: 3,
-                },
-                Insn::MapUpdate {
-                    map: 0,
-                    key: 1,
-                    value: 2,
-                },
-                Insn::StField { field: 1, src: 1 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        crate::ebpf::verify(&prog, 1).unwrap();
-        // Both a map miss (key 5 absent) and, after seeding, a hit.
-        run_both(&prog, vec![Value::U64(5), Value::U64(0)], 7);
-        let seeded = EbpfProgram {
-            insns: {
-                let mut v = vec![
-                    Insn::LdField { dst: 1, field: 0 },
-                    Insn::LdImm { dst: 2, imm: 9 },
-                    Insn::MapUpdate {
-                        map: 0,
-                        key: 1,
-                        value: 2,
-                    },
-                ];
-                v.extend(prog.insns.clone());
-                v
+        // Keyed counter: lookup-or-forward, bump, write back, store to ctx.
+        let counter = vec![
+            Insn::LdField { dst: 1, field: 0 },
+            Insn::MapLookup {
+                map: 0,
+                key: 1,
+                dst: 2,
+                miss_off: 4,
             },
-        };
-        run_both(&seeded, vec![Value::U64(5), Value::U64(0)], 7);
+            Insn::LdImm { dst: 3, imm: 1 },
+            Insn::Alu {
+                op: AluOp::Add,
+                dst: 2,
+                src: 3,
+            },
+            Insn::MapUpdate {
+                map: 0,
+                key: 1,
+                value: 2,
+            },
+            Insn::StField { field: 1, src: 1 },
+            Insn::Ret {
+                verdict: RET_FORWARD,
+            },
+        ];
+        // Miss (key 5 absent): straight to `Ret`, nothing written.
+        let (v, _, fields, maps) = run(
+            &counter,
+            vec![Value::U64(5), Value::U64(0)],
+            one_map(&[]),
+            7,
+        );
+        assert_eq!(v, EbpfVerdict::Forward);
+        assert_eq!(fields, vec![Value::U64(5), Value::U64(0)]);
+        assert_eq!(maps.maps, one_map(&[]).maps);
+
+        // Seeding 5 → 9 in the same run makes the lookup hit: the counter
+        // is bumped to 10 and the key is stored to field 1.
+        let mut seeded = vec![
+            Insn::LdField { dst: 1, field: 0 },
+            Insn::LdImm { dst: 2, imm: 9 },
+            Insn::MapUpdate {
+                map: 0,
+                key: 1,
+                value: 2,
+            },
+        ];
+        seeded.extend(counter);
+        let (v, _, fields, maps) =
+            run(&seeded, vec![Value::U64(5), Value::U64(0)], one_map(&[]), 7);
+        assert_eq!(v, EbpfVerdict::Forward);
+        assert_eq!(fields, vec![Value::U64(5), Value::U64(5)]);
+        assert_eq!(maps.maps, one_map(&[(5, 10)]).maps);
+
+        // Lookup hit rewrites the value in place; a miss deletes and drops.
+        let hit_or_delete = vec![
+            Insn::LdField { dst: 1, field: 0 },
+            Insn::MapLookup {
+                map: 0,
+                key: 1,
+                dst: 2,
+                miss_off: 2,
+            },
+            Insn::MapUpdate {
+                map: 0,
+                key: 1,
+                value: 2,
+            },
+            Insn::Ret {
+                verdict: RET_FORWARD,
+            },
+            Insn::MapDelete { map: 0, key: 1 },
+            Insn::Ret { verdict: RET_DROP },
+        ];
+        for (key, want) in [(5, EbpfVerdict::Forward), (6, EbpfVerdict::Drop)] {
+            let (v, _, _, maps) = run(&hit_or_delete, vec![Value::U64(key)], one_map(&[(5, 3)]), 0);
+            assert_eq!(v, want, "key {key}");
+            assert_eq!(maps.maps, one_map(&[(5, 3)]).maps, "key {key}");
+        }
     }
 
     #[test]
     fn encoded_execution_matches_legacy_on_helpers_and_aborts() {
-        let prog = EbpfProgram {
-            insns: vec![
+        // `rand + now < threshold`: a zero threshold never branches (drop);
+        // `u64::MAX` branches unless the sum is all ones (abort 42). Both
+        // arms first route by the hash of field 1.
+        let prog = |threshold: u64| {
+            vec![
                 Insn::Rand { dst: 1 },
                 Insn::Now { dst: 2 },
                 Insn::Alu {
-                    op: AluOp::Xor,
+                    op: AluOp::Add,
                     dst: 1,
                     src: 2,
                 },
                 Insn::HashField { dst: 3, field: 1 },
                 Insn::Route { key_hash: 3 },
-                Insn::LdImm { dst: 4, imm: 3 },
+                Insn::LdImm {
+                    dst: 4,
+                    imm: threshold,
+                },
                 Insn::JmpIf {
                     cmp: CmpOp::Lt,
                     signed: false,
@@ -2001,41 +1491,65 @@ mod tests {
                 Insn::Ret { verdict: RET_DROP },
                 Insn::LdImm { dst: 0, imm: 42 },
                 Insn::Ret { verdict: RET_ABORT },
-            ],
+            ]
         };
-        crate::ebpf::verify(&prog, 0).unwrap();
+        let start = vec![Value::U64(1), Value::Bytes(vec![1, 2, 3])];
         for seed in 0..8 {
-            run_both(
-                &prog,
-                vec![Value::U64(1), Value::Bytes(vec![1, 2, 3])],
-                seed,
-            );
+            for (threshold, want) in [
+                (0, EbpfVerdict::Drop),
+                (u64::MAX, EbpfVerdict::Abort { code: 42 }),
+            ] {
+                let (v, route, fields, _) =
+                    run(&prog(threshold), start.clone(), EbpfMaps::default(), seed);
+                assert_eq!(v, want, "seed {seed}");
+                assert_eq!(route.key_hash, Some(start[1].stable_hash()));
+                assert_eq!(fields, start);
+            }
         }
     }
 
     #[test]
+    fn encoded_execution_of_field_arithmetic() {
+        // `field1 = field0 + 42` through the context pointer.
+        let prog = vec![
+            Insn::LdImm { dst: 1, imm: 42 },
+            Insn::LdField { dst: 2, field: 0 },
+            Insn::Alu {
+                op: AluOp::Add,
+                dst: 2,
+                src: 1,
+            },
+            Insn::StField { field: 1, src: 2 },
+            Insn::Ret {
+                verdict: RET_FORWARD,
+            },
+        ];
+        let (v, _, fields, _) = run(
+            &prog,
+            vec![Value::U64(8), Value::U64(0)],
+            EbpfMaps::default(),
+            0,
+        );
+        assert_eq!(v, EbpfVerdict::Forward);
+        assert_eq!(fields, vec![Value::U64(8), Value::U64(50)]);
+    }
+
+    #[test]
     fn encoded_mod_by_zero_leaves_dst_unchanged() {
-        let prog = EbpfProgram {
-            insns: vec![
-                Insn::LdImm { dst: 1, imm: 41 },
-                Insn::LdImm { dst: 2, imm: 0 },
-                Insn::Alu {
-                    op: AluOp::ModU,
-                    dst: 1,
-                    src: 2,
-                },
-                Insn::StField { field: 0, src: 1 },
-                Insn::Ret {
-                    verdict: RET_FORWARD,
-                },
-            ],
-        };
-        let mut fields = vec![Value::U64(0)];
-        let asm = assemble(&prog).unwrap();
-        let mut maps = EbpfMaps::default();
-        let mut udf = UdfRuntime::new(0);
-        let mut route = RouteDecision::default();
-        execute_encoded(&asm.insns, &mut fields, &mut maps, &mut udf, &mut route).unwrap();
+        let prog = vec![
+            Insn::LdImm { dst: 1, imm: 41 },
+            Insn::LdImm { dst: 2, imm: 0 },
+            Insn::Alu {
+                op: AluOp::ModU,
+                dst: 1,
+                src: 2,
+            },
+            Insn::StField { field: 0, src: 1 },
+            Insn::Ret {
+                verdict: RET_FORWARD,
+            },
+        ];
+        let (_, _, fields, _) = run(&prog, vec![Value::U64(0)], EbpfMaps::default(), 0);
         assert_eq!(fields[0], Value::U64(41));
     }
 
@@ -2050,13 +1564,6 @@ mod tests {
         let err =
             execute_encoded(&insns, &mut fields, &mut maps, &mut udf, &mut route).unwrap_err();
         assert!(err.contains("fuel"), "{err}");
-    }
-
-    #[test]
-    fn lifter_rejects_non_canonical_stream() {
-        // A bare call with no spill frame is not canonical.
-        let insns = vec![mov64_reg(CTX_REG, 1), call(999), exit()];
-        assert!(lift(&insns).is_err());
     }
 
     #[test]

@@ -15,15 +15,15 @@
 //! * [`rust_codegen`] — the literal artifact the paper's prototype shipped:
 //!   Rust source text for an mRPC engine, generated from the IR (used for
 //!   inspection and the lines-of-code comparison, experiment E3).
-//! * [`ebpf`] — a kernel-offload simulator: a restricted register bytecode
-//!   with a verifier (forward-only jumps, bounded programs, no floats, map
-//!   state) and an interpreter. Elements that don't fit the model are
-//!   rejected at compile time — exactly the portability gate of paper §2.
-//! * [`isa`] — the genuine eBPF instruction encoding underneath it: 64-bit
-//!   instruction words, an assembler/lifter with a round-trip guarantee
-//!   against the restricted bytecode, a disassembler, and an interpreter
-//!   over the real ABI. `adn-verifier`'s abstract interpreter runs on this
-//!   encoding, so offload verdicts describe what would actually load.
+//! * [`ebpf`] — a kernel-offload simulator: compiles elements under the
+//!   kernel's restrictions (forward-only jumps, bounded programs, no
+//!   floats, map state) to encoded eBPF programs. Elements that don't fit
+//!   the model are rejected at compile time — exactly the portability gate
+//!   of paper §2.
+//! * [`isa`] — the genuine eBPF instruction encoding those programs use:
+//!   64-bit instruction words, the assembler, a disassembler, and the
+//!   interpreter over the real ABI. `adn-verifier`'s abstract interpreter
+//!   proves the same encoded programs the interpreter runs.
 //! * [`p4`] — a programmable-switch simulator: match-action stages over
 //!   header fields only, with the ~200-byte header window constraint.
 //!

@@ -9,15 +9,18 @@
 //! * **Codec safety**: compression and encryption roundtrip arbitrary
 //!   payloads; decompress never panics on garbage.
 //! * **eBPF vs. software equivalence**: for elements both backends accept,
-//!   the eBPF interpreter and the native engine agree.
-//! * **ISA round-trips**: every `BpfInsn` survives `decode(encode(_))`,
-//!   and `lift(assemble(_))` is the identity on compiled element programs.
-//! * **Three-way differential**: random arithmetic elements agree across
-//!   the native engine, the legacy B-code interpreter, and the encoded
-//!   eBPF interpreter — verdicts and field values both. Expressions are
-//!   bounded (no subtraction, divisors ≥ 1) so native checked arithmetic
-//!   cannot error where eBPF would wrap; the wrap/trap divergence itself
-//!   is documented and pinned in `tests/conformance.rs`.
+//!   the encoded eBPF interpreter and the native engine agree.
+//! * **ISA encoding**: every `BpfInsn` survives `decode(encode(_))`, and
+//!   every compiled element program is proved safe by the abstract
+//!   interpreter under its exact context size and runs without a fault.
+//! * **Robustness**: arbitrary instruction words never panic or hang the
+//!   abstract interpreter or the encoded interpreter.
+//! * **Differential**: random arithmetic elements agree across the native
+//!   engine and the encoded eBPF interpreter — verdicts and field values
+//!   both. Expressions are bounded (no subtraction, divisors ≥ 1) so
+//!   native checked arithmetic cannot error where eBPF would wrap; the
+//!   wrap/trap divergence itself is documented and pinned in
+//!   `tests/conformance.rs`.
 
 use adn_backend::native::{compile_element, CompileOpts};
 use adn_backend::udf_impl::{compress, decompress, xor_stream, UdfRuntime};
@@ -29,6 +32,7 @@ use adn_rpc::engine::{Engine, Verdict};
 use adn_rpc::message::RpcMessage;
 use adn_rpc::schema::RpcSchema;
 use adn_rpc::value::{Value, ValueType};
+use adn_verifier::absint::{self, AbsintOptions, OffloadVerdict};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -242,22 +246,11 @@ proptest! {
             Value::Str("alice".into()),
             Value::Bytes(b"x".to_vec()),
         ];
-        let mut maps = ebpf::EbpfMaps::for_element(&compiled);
-        let mut udf = UdfRuntime::new(0);
-        let mut route = ebpf::RouteDecision::default();
-        let ev = ebpf::execute(&compiled.request, &mut fields, &mut maps, &mut udf, &mut route);
+        let ev = run_encoded(&compiled, &mut fields);
 
         let native_dropped = nv == Verdict::Drop;
         let ebpf_dropped = ev == ebpf::EbpfVerdict::Drop;
         prop_assert_eq!(native_dropped, ebpf_dropped);
-    }
-
-    #[test]
-    fn ebpf_verifier_never_panics_on_random_programs(
-        insns in proptest::collection::vec(arb_insn(), 0..64),
-    ) {
-        let prog = ebpf::EbpfProgram { insns };
-        let _ = ebpf::verify(&prog, 2);
     }
 
     #[test]
@@ -275,22 +268,34 @@ proptest! {
     }
 
     #[test]
-    fn assemble_lift_roundtrips_compiled_elements(pick in 0usize..4) {
+    fn compiled_elements_prove_safe_and_run(pick in 0usize..4, oid in any::<u64>()) {
         let element = lower(offloadable_pool()[pick]);
-        let (req, _) = schemas();
-        let types: Vec<ValueType> = req.fields().iter().map(|f| f.ty).collect();
+        let (req, resp) = schemas();
         let compiled =
-            ebpf::compile_for_schema(&element, &types, &[ValueType::Bool, ValueType::Bytes])
-                .unwrap();
-        for prog in [&compiled.request, &compiled.response] {
-            let assembled = isa::assemble(prog).unwrap();
-            let lifted = isa::lift(&assembled.insns).unwrap();
-            prop_assert_eq!(&lifted.insns, &prog.insns);
+            ebpf::compile_for_schema(&element, &field_types(&req), &field_types(&resp)).unwrap();
+        for (prog, schema) in [(&compiled.request, &req), (&compiled.response, &resp)] {
+            let opts = AbsintOptions {
+                num_maps: compiled.map_inits.len(),
+                ctx_bytes: Some(8 * schema.fields().len()),
+            };
+            let verdict = absint::analyze(prog, &opts).verdict;
+            prop_assert!(
+                matches!(verdict, OffloadVerdict::Safe { .. }),
+                "{:?}\n{}",
+                verdict,
+                isa::disasm(prog)
+            );
         }
+        let mut fields = vec![
+            Value::U64(oid),
+            Value::Str("alice".into()),
+            Value::Bytes(b"x".to_vec()),
+        ];
+        run_encoded(&compiled, &mut fields);
     }
 
     #[test]
-    fn encoded_interpreter_agrees_with_native_and_legacy(
+    fn encoded_interpreter_agrees_with_native(
         oid in any::<u64>(),
         ops in proptest::collection::vec((0usize..4, 1u64..10), 0..4),
     ) {
@@ -313,57 +318,175 @@ proptest! {
         let mut msg = make_request(oid, "alice", b"x");
         let nv = n.process(&mut msg);
 
-        // Legacy B-code interpreter and the encoded real-ISA interpreter,
-        // fed identical field vectors.
+        // Encoded real-ISA interpreter.
         let (req, _) = schemas();
-        let types: Vec<ValueType> = req.fields().iter().map(|f| f.ty).collect();
-        let compiled =
-            ebpf::compile_for_schema(&element, &types, &[ValueType::Bool, ValueType::Bytes])
-                .unwrap();
-        let start_fields = vec![
+        let resp_types = [ValueType::Bool, ValueType::Bytes];
+        let compiled = ebpf::compile_for_schema(&element, &field_types(&req), &resp_types).unwrap();
+        let mut fields = vec![
             Value::U64(oid),
             Value::Str("alice".into()),
             Value::Bytes(b"x".to_vec()),
         ];
+        let ev = run_encoded(&compiled, &mut fields);
 
-        let mut legacy_fields = start_fields.clone();
-        let mut maps = ebpf::EbpfMaps::for_element(&compiled);
-        let mut udf = UdfRuntime::new(0);
-        let mut route = ebpf::RouteDecision::default();
-        let lv = ebpf::execute(
-            &compiled.request,
-            &mut legacy_fields,
-            &mut maps,
-            &mut udf,
-            &mut route,
-        );
-
-        let assembled = isa::assemble(&compiled.request).unwrap();
-        let mut encoded_fields = start_fields;
-        let mut maps2 = ebpf::EbpfMaps::for_element(&compiled);
-        let mut udf2 = UdfRuntime::new(0);
-        let mut route2 = ebpf::RouteDecision::default();
-        let ev = isa::execute_encoded(
-            &assembled.insns,
-            &mut encoded_fields,
-            &mut maps2,
-            &mut udf2,
-            &mut route2,
-        )
-        .unwrap();
-
-        prop_assert_eq!(&lv, &ev, "legacy and encoded verdicts diverged");
         let dropped = nv == Verdict::Drop;
-        prop_assert_eq!(dropped, lv == ebpf::EbpfVerdict::Drop, "native and eBPF verdicts diverged");
+        prop_assert_eq!(dropped, ev == ebpf::EbpfVerdict::Drop, "native and eBPF verdicts diverged");
         if !dropped {
-            prop_assert_eq!(
-                msg.get("object_id"),
-                legacy_fields.first(),
-                "native and legacy fields diverged"
-            );
-            prop_assert_eq!(&legacy_fields, &encoded_fields, "legacy and encoded fields diverged");
+            prop_assert_eq!(msg.get("object_id"), fields.first(), "native and eBPF fields diverged");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Roadmap item 9's "decode_words/absint on arbitrary instruction
+    /// words" slice: reject or run, never panic or spin.
+    #[test]
+    fn ebpf_verifier_never_panics_on_random_programs(
+        body in proptest::collection::vec(arb_word(), 0..24),
+        framed in prop_oneof![3 => Just(true), 1 => Just(false)],
+        num_maps in 0usize..3,
+    ) {
+        // Most programs get the compiler's prologue, initialized scratch
+        // registers and a clean exit, so the analysis runs deeper than the
+        // first bad slot.
+        let mut words = Vec::new();
+        if framed {
+            words.push(isa::mov64_reg(isa::CTX_REG, 1).encode());
+            words.extend([0, 2, 3, 4, 5, 6, 7, 8].map(|r| isa::mov64_imm(r, r as i32).encode()));
+        }
+        words.extend(body);
+        if framed {
+            words.extend([isa::mov64_imm(0, 0).encode(), isa::exit().encode()]);
+        }
+        check_arbitrary_words(&words, num_maps);
+    }
+}
+
+/// Fixed shapes at the edges of the decoder and the ABI. The verifier must
+/// reject each, and the interpreter must return a fault, not panic.
+#[test]
+fn hazardous_word_shapes_are_rejected_not_panicked() {
+    use isa::{call, exit, ja, jmp_imm, ldx, mov64_imm, BPF_DW, BPF_JNE};
+    let [lo, hi] = isa::lddw(2, 7);
+    let cases: Vec<(&str, Vec<isa::BpfInsn>)> = vec![
+        ("empty program", vec![]),
+        ("truncated lddw", vec![lo]),
+        (
+            "branch into an lddw's second slot",
+            vec![jmp_imm(BPF_JNE, 1, 0, 1), lo, hi, exit()],
+        ),
+        ("self loop", vec![ja(-1)]),
+        ("far backward jump", vec![ja(i16::MIN), exit()]),
+        ("far forward jump", vec![ja(i16::MAX), exit()]),
+        ("write to the frame pointer", vec![mov64_imm(10, 0), exit()]),
+        (
+            "load past the stack top",
+            vec![ldx(BPF_DW, 0, 10, 0), exit()],
+        ),
+        ("unknown helper", vec![call(i32::MAX), exit()]),
+    ];
+    let opts = AbsintOptions {
+        num_maps: 1,
+        ctx_bytes: Some(8),
+    };
+    for (what, insns) in cases {
+        let verdict = absint::analyze(&insns, &opts).verdict;
+        assert!(!verdict.is_safe(), "{what}: verifier accepted it");
+        let mut fields = vec![Value::U64(0)];
+        let mut maps = ebpf::EbpfMaps::default();
+        let mut udf = UdfRuntime::new(0);
+        let mut route = ebpf::RouteDecision::default();
+        let run = isa::execute_encoded(&insns, &mut fields, &mut maps, &mut udf, &mut route);
+        assert!(run.is_err(), "{what}: interpreter returned {run:?}");
+    }
+}
+
+fn field_types(schema: &RpcSchema) -> Vec<ValueType> {
+    schema.fields().iter().map(|f| f.ty).collect()
+}
+
+/// Runs a compiled element's request program on the encoded interpreter.
+fn run_encoded(compiled: &ebpf::EbpfElement, fields: &mut [Value]) -> ebpf::EbpfVerdict {
+    let mut maps = ebpf::EbpfMaps::for_element(compiled);
+    let mut udf = UdfRuntime::new(0);
+    let mut route = ebpf::RouteDecision::default();
+    isa::execute_encoded(&compiled.request, fields, &mut maps, &mut udf, &mut route)
+        .unwrap_or_else(|e| panic!("compiled program faulted: {e}"))
+}
+
+/// Decodes arbitrary words and feeds them to both the abstract interpreter
+/// and the encoded interpreter (with `num_maps` maps and a few fields).
+/// Each must return — reject or run — rather than panic or spin.
+fn check_arbitrary_words(words: &[u64], num_maps: usize) {
+    let insns = isa::decode_words(words);
+    let ctx_fields = [Value::U64(7), Value::Str("alice".into()), Value::Bool(true)];
+    for ctx_bytes in [None, Some(8 * ctx_fields.len())] {
+        let _ = absint::analyze(
+            &insns,
+            &AbsintOptions {
+                num_maps,
+                ctx_bytes,
+            },
+        );
+    }
+    let mut fields = ctx_fields.to_vec();
+    let mut maps = ebpf::EbpfMaps {
+        maps: (0..num_maps as u64).map(|k| [(k, k + 1)].into()).collect(),
+    };
+    let mut udf = UdfRuntime::new(0);
+    let mut route = ebpf::RouteDecision::default();
+    let _ = isa::execute_encoded(&insns, &mut fields, &mut maps, &mut udf, &mut route);
+}
+
+/// Opcodes `arb_word` draws from: every class and most operations the
+/// interpreters implement.
+const OPCODES: [u8; 20] = [
+    isa::BPF_LD | isa::BPF_IMM | isa::BPF_DW,
+    isa::BPF_LDX | isa::BPF_MEM | isa::BPF_DW,
+    isa::BPF_LDX | isa::BPF_MEM | isa::BPF_B,
+    isa::BPF_STX | isa::BPF_MEM | isa::BPF_DW,
+    isa::BPF_ST | isa::BPF_MEM | isa::BPF_W,
+    isa::BPF_ALU64 | isa::BPF_X | isa::BPF_ADD,
+    isa::BPF_ALU64 | isa::BPF_K | isa::BPF_MOV,
+    isa::BPF_ALU64 | isa::BPF_K | isa::BPF_DIV,
+    isa::BPF_ALU64 | isa::BPF_X | isa::BPF_MOD,
+    isa::BPF_ALU64 | isa::BPF_K | isa::BPF_LSH,
+    isa::BPF_ALU64 | isa::BPF_K | isa::BPF_ARSH,
+    isa::BPF_ALU64 | isa::BPF_NEG,
+    isa::BPF_ALU | isa::BPF_X | isa::BPF_SUB,
+    isa::BPF_ALU | isa::BPF_K | isa::BPF_RSH,
+    isa::BPF_JMP | isa::BPF_JA,
+    isa::BPF_JMP | isa::BPF_K | isa::BPF_JEQ,
+    isa::BPF_JMP | isa::BPF_X | isa::BPF_JSGT,
+    isa::BPF_JMP32 | isa::BPF_K | isa::BPF_JLT,
+    isa::BPF_JMP | isa::BPF_CALL,
+    isa::BPF_JMP | isa::BPF_EXIT,
+];
+
+/// Mostly-plausible instruction words — real opcodes, registers up to 11,
+/// small offsets and immediates, helper IDs — mixed with fully random
+/// words.
+fn arb_word() -> impl Strategy<Value = u64> {
+    let imm = prop_oneof![
+        -16i32..16,
+        Just(isa::HELPER_MAP_LOOKUP),
+        Just(isa::HELPER_MAP_UPDATE),
+        Just(isa::HELPER_HASH_FIELD),
+        any::<i32>(),
+    ];
+    // Mostly short forward offsets, so branches usually stay in range and
+    // the CFG builds; negative ones exercise the backward-edge rejection.
+    let off = prop_oneof![7 => 0i16..4, 1 => -8i16..8];
+    prop_oneof![
+        15 => (0..OPCODES.len(), 0u8..12, 0u8..12, off, imm).prop_map(
+            |(op, dst, src, off, imm)| {
+                isa::BpfInsn { opcode: OPCODES[op], dst, src, off, imm }.encode()
+            }
+        ),
+        1 => any::<u64>(),
+    ]
 }
 
 /// Elements every backend offloads: pure field arithmetic, filters, and
@@ -374,37 +497,5 @@ fn offloadable_pool() -> Vec<&'static str> {
         "element G() { on request { SET object_id = input.object_id * 3 + 1; SELECT * FROM input; } }",
         "element H() { on request { SELECT hash(input.username) AS object_id FROM input; } }",
         "element I() { on request { DROP WHERE hash(input.username) % 2 == 0; SELECT * FROM input; } }",
-    ]
-}
-
-fn arb_insn() -> impl Strategy<Value = ebpf::Insn> {
-    use ebpf::{AluOp, CmpOp, Insn};
-    prop_oneof![
-        (0u8..12, any::<u64>()).prop_map(|(dst, imm)| Insn::LdImm { dst, imm }),
-        (0u8..12, 0u16..8).prop_map(|(dst, field)| Insn::LdField { dst, field }),
-        (0u16..8, 0u8..12).prop_map(|(field, src)| Insn::StField { field, src }),
-        (0u8..12, 0u8..12).prop_map(|(dst, src)| Insn::Mov { dst, src }),
-        (0u8..12, 0u8..12).prop_map(|(dst, src)| Insn::Alu {
-            op: AluOp::Add,
-            dst,
-            src
-        }),
-        (0u16..64).prop_map(|off| Insn::Jmp { off }),
-        (0u8..12, 0u8..12, 0u16..64).prop_map(|(a, b, off)| Insn::JmpIf {
-            cmp: CmpOp::Eq,
-            signed: false,
-            a,
-            b,
-            off
-        }),
-        (0u8..4, 0u8..12, 0u8..12, 0u16..64).prop_map(|(map, key, dst, miss_off)| {
-            Insn::MapLookup {
-                map,
-                key,
-                dst,
-                miss_off,
-            }
-        }),
-        (0u8..3).prop_map(|verdict| Insn::Ret { verdict }),
     ]
 }

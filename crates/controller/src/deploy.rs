@@ -13,7 +13,7 @@ use std::sync::Arc;
 use adn_backend::adapters::{EbpfEngine, SwitchEngine};
 use adn_backend::jit::compile_engine;
 use adn_backend::native::{element_seed, CompileOpts};
-use adn_backend::{ebpf, p4};
+use adn_backend::{ebpf, isa, p4};
 use adn_dataplane::processor::{
     spawn_processor, NextHop, ProcessorConfig, ProcessorHandle, DEFAULT_BATCH_MAX,
 };
@@ -24,6 +24,7 @@ use adn_rpc::schema::ServiceSchema;
 use adn_rpc::transport::{EndpointAddr, InProcNetwork, Link};
 use adn_rpc::value::ValueType;
 use adn_telemetry::HopTelemetry;
+use adn_verifier::absint::{self, AbsintOptions, OffloadVerdict};
 
 use crate::compile::CompiledApp;
 use crate::placement::{Placement, Site};
@@ -139,6 +140,31 @@ pub fn build_engine(
                         message: format!("ebpf compile of {}: {e}", element.name),
                     }
                 })?;
+            // Re-prove the exact programs going live, against the context
+            // this schema really provides (placement audited an inferred-type
+            // compile with the context size unknown).
+            for (dir, prog, fields) in [
+                ("request", &compiled.request, req_types.len()),
+                ("response", &compiled.response, resp_types.len()),
+            ] {
+                let opts = AbsintOptions {
+                    num_maps: compiled.map_inits.len(),
+                    ctx_bytes: Some(isa::CTX_SLOT_BYTES as usize * fields),
+                };
+                if let OffloadVerdict::Unsafe { diags } = absint::analyze(prog, &opts).verdict {
+                    let why: Vec<String> = diags
+                        .iter()
+                        .map(|d| format!("{}: {}", d.code, d.message))
+                        .collect();
+                    return Err(DeployError {
+                        message: format!(
+                            "ebpf verifier rejected the {dir} program of {}: {}",
+                            element.name,
+                            why.join("; ")
+                        ),
+                    });
+                }
+            }
             Ok(Box::new(EbpfEngine::new(compiled, seed, replicas.to_vec())))
         }
         adn_backend::Platform::Switch => {
@@ -488,6 +514,47 @@ mod tests {
         // Payload made it through compress → decompress intact.
         assert_eq!(ok.get("payload"), Some(&Value::Bytes(vec![9u8; 32])));
         assert!(results[1].is_err(), "bob must still be denied");
+    }
+
+    #[test]
+    fn build_engine_refuses_programs_the_verifier_rejects() {
+        // `hash(input.username)` reads field 1. Lowered against the full
+        // schema it compiles for any schema (the hash helper takes a field
+        // index), but a one-field deploy context holds only 8 bytes, so
+        // the re-proof at deploy must refuse it.
+        let (req_schema, resp_schema) = schemas();
+        let element = adn_ir::lower_element(
+            &adn_dsl::compile_frontend(
+                "element H() { on request { SELECT hash(input.username) AS object_id FROM input; } }",
+                &req_schema,
+                &resp_schema,
+            )
+            .unwrap(),
+            &[],
+            &req_schema,
+            &resp_schema,
+        )
+        .unwrap();
+        let config = AdnConfig {
+            app: "t".into(),
+            src_service: "a".into(),
+            dst_service: "b".into(),
+            chain: vec![],
+            seed: 1,
+        };
+        let mut app = compile_app(&config, req_schema, resp_schema).unwrap();
+        assert!(build_engine(&element, Site::ClientEbpf, &app, 0, &[]).is_ok());
+
+        app.chain.request_schema = Arc::new(
+            RpcSchema::builder()
+                .field("object_id", ValueType::U64)
+                .build()
+                .unwrap(),
+        );
+        let Err(err) = build_engine(&element, Site::ClientEbpf, &app, 0, &[]) else {
+            panic!("a program reading past the context must not deploy");
+        };
+        assert!(err.message.contains("B0005"), "{err}");
     }
 
     #[test]

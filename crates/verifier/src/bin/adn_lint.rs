@@ -298,18 +298,8 @@ fn dump_ebpf_disasm(origin: &str, chain: &ChainIr) {
             ("request", &compiled.request),
             ("response", &compiled.response),
         ] {
-            let assembled = match isa::assemble(prog) {
-                Ok(a) => a,
-                Err(why) => {
-                    println!(
-                        ";; {origin}:{} {dir}: does not assemble: {why}",
-                        element.name
-                    );
-                    continue;
-                }
-            };
             let analysis = absint::analyze(
-                &assembled.insns,
+                prog,
                 &absint::AbsintOptions {
                     num_maps: compiled.map_inits.len(),
                     ctx_bytes: None,
@@ -318,19 +308,18 @@ fn dump_ebpf_disasm(origin: &str, chain: &ChainIr) {
             println!(
                 ";; {origin}:{} {dir} — {} slot(s), {} block(s), {} pruned edge(s)",
                 element.name,
-                assembled.insns.len(),
+                prog.len(),
                 analysis.block_states.len(),
                 analysis.pruned_edges
             );
             let mut pc = 0;
-            while pc < assembled.insns.len() {
+            while pc < prog.len() {
                 for (bi, b) in analysis.block_states.iter().enumerate() {
                     if b.start == pc {
                         println!(";;   block {bi} @ {pc}: {}", b.entry);
                     }
                 }
-                let (text, used) =
-                    isa::disasm_one(assembled.insns[pc], assembled.insns.get(pc + 1).copied());
+                let (text, used) = isa::disasm_one(prog[pc], prog.get(pc + 1).copied());
                 println!("{pc:4}: {text}");
                 pc += used;
             }

@@ -1,24 +1,17 @@
 //! Offload verifier for the eBPF backend.
 //!
-//! [`adn_backend::ebpf::compile`] already runs a kernel-style structural
-//! verifier (register init, forward jumps, mandatory `Ret`). This module
-//! is the *policy* layer on top: it assembles the element to the real
-//! instruction encoding ([`adn_backend::isa`]), runs the abstract
-//! interpreter ([`crate::absint`]) over the encoded stream, and answers
-//! "should this program be trusted in the kernel at this site?" under an
-//! operator-configurable [`EbpfPolicy`]. The audit report carries the
-//! *proved* bounds — worst-case feasible-path length, the exact stack
-//! high-water mark, worst-case helper calls — so the placement solver can
-//! rank offload sites by verified cost instead of gating on a heuristic.
-//!
-//! When `policy.use_absint` is off, the audit falls back to the original
-//! coarse model: a DAG longest-path over the legacy instruction stream
-//! and a simulated stack of 8 bytes per written register. The fallback is
-//! kept both as a baseline for comparison and as the escape hatch for
-//! programs the abstract domains cannot bound.
+//! [`adn_backend::ebpf::compile`] decides whether an element fits the
+//! kernel execution model at all and emits its encoded programs
+//! ([`adn_backend::isa`]). This module is the *policy* layer on top: it
+//! runs the abstract interpreter ([`crate::absint`]) over those exact
+//! programs and answers "should this program be trusted in the kernel at
+//! this site?" under an operator-configurable [`EbpfPolicy`]. The audit
+//! report carries the *proved* bounds — worst-case feasible-path length,
+//! the exact stack high-water mark, worst-case helper calls — so the
+//! placement solver can rank offload sites by verified cost.
 
-use adn_backend::ebpf::{compile, EbpfProgram, Insn};
-use adn_backend::isa;
+use adn_backend::ebpf::compile;
+use adn_backend::isa::{self, BpfInsn};
 use adn_dsl::diag::Diagnostic;
 use adn_ir::element::ElementIr;
 
@@ -28,14 +21,10 @@ use crate::codes;
 /// What a site's kernel is willing to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EbpfPolicy {
-    /// Longest permissible execution path, in instructions. Under the
-    /// abstract interpreter this counts *encoded* instructions on the
-    /// longest feasible path; under the fallback it counts legacy
-    /// instructions on the longest structural path.
+    /// Longest permissible execution path, in encoded instructions on the
+    /// longest feasible path.
     pub max_path_insns: usize,
-    /// Stack budget in bytes. The abstract interpreter checks the exact
-    /// high-water mark; the fallback simulates 8 bytes per written
-    /// register.
+    /// Stack budget in bytes, checked against the proved high-water mark.
     pub max_stack_bytes: usize,
     /// Context buffer size this site guarantees, when known. `None`
     /// leaves context accesses unchecked and surfaces the requirement in
@@ -49,9 +38,6 @@ pub struct EbpfPolicy {
     pub allow_map_helpers: bool,
     /// Allow the `Route` helper (in-kernel load balancing).
     pub allow_route: bool,
-    /// Verify with the abstract interpreter over the real encoding
-    /// (default). Off = the original coarse heuristics.
-    pub use_absint: bool,
 }
 
 impl Default for EbpfPolicy {
@@ -64,7 +50,6 @@ impl Default for EbpfPolicy {
             allow_now: true,
             allow_map_helpers: true,
             allow_route: true,
-            use_absint: true,
         }
     }
 }
@@ -76,24 +61,14 @@ pub struct EbpfAuditReport {
     pub request_path_insns: usize,
     /// Longest response-path length in instructions.
     pub response_path_insns: usize,
-    /// Stack high-water mark across both programs: exact when `precise`,
-    /// simulated (8 bytes per written register) otherwise.
+    /// Exact stack high-water mark across both programs.
     pub stack_bytes: usize,
-    /// Worst-case helper calls on any feasible path, across both
-    /// programs. Zero under the fallback (not modeled).
+    /// Worst-case helper calls on any feasible path, across both programs.
     pub helper_calls: usize,
     /// Context bytes the programs provably need. Zero when the policy
-    /// pinned `max_ctx_bytes` (the accesses were checked instead) or
-    /// under the fallback.
+    /// pinned `max_ctx_bytes` (the accesses were checked instead).
     pub required_ctx_bytes: usize,
-    /// True when the bounds come from the abstract interpreter (proved),
-    /// false when they come from the heuristic fallback (simulated).
-    pub precise: bool,
 }
-
-// ---------------------------------------------------------------------------
-// Abstract-interpretation path (default)
-// ---------------------------------------------------------------------------
 
 /// Helper-whitelist check over the distinct helper IDs the analysis saw.
 fn check_helpers(
@@ -130,24 +105,17 @@ fn check_helpers(
     None
 }
 
-/// Audits one direction's program through assemble → absint.
+/// Audits one direction's encoded program with the abstract interpreter.
 /// `Ok((path, stack, helpers, required_ctx))` on success.
-fn check_program_absint(
+fn check_program(
     element: &str,
     dir: &str,
-    prog: &EbpfProgram,
+    prog: &[BpfInsn],
     num_maps: usize,
     policy: &EbpfPolicy,
 ) -> Result<(usize, usize, usize, usize), Vec<Diagnostic>> {
-    let assembled = isa::assemble(prog).map_err(|why| {
-        vec![Diagnostic::error(
-            codes::EBPF_UNSUPPORTED,
-            format!("element `{element}` {dir} program does not assemble: {why}"),
-        )]
-    })?;
-
     let analysis = absint::analyze(
-        &assembled.insns,
+        prog,
         &AbsintOptions {
             num_maps,
             ctx_bytes: policy.max_ctx_bytes,
@@ -213,157 +181,10 @@ fn check_program_absint(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Heuristic fallback (use_absint = false)
-// ---------------------------------------------------------------------------
-
-/// Longest execution path through a forward-jump-only program, in
-/// instructions. Jumps only go forward, so the flow graph is a DAG and a
-/// single reverse pass computes the exact bound — the same argument the
-/// kernel verifier uses to reject unbounded programs. Returns `None` for
-/// malformed flow (a jump landing past the end).
-fn longest_path(prog: &EbpfProgram) -> Option<usize> {
-    let n = prog.insns.len();
-    // longest[i] = max instructions executed starting at insn i.
-    let mut longest = vec![0usize; n + 1];
-    for i in (0..n).rev() {
-        let mut succ_max = 0usize;
-        let mut push = |t: usize| -> Option<()> {
-            if t > n {
-                return None;
-            }
-            succ_max = succ_max.max(longest[t]);
-            Some(())
-        };
-        match &prog.insns[i] {
-            Insn::Ret { .. } => {}
-            Insn::Jmp { off } => push(i + 1 + *off as usize)?,
-            Insn::JmpIf { off, .. } => {
-                push(i + 1 + *off as usize)?;
-                push(i + 1)?;
-            }
-            Insn::MapLookup { miss_off, .. } => {
-                push(i + 1 + *miss_off as usize)?;
-                push(i + 1)?;
-            }
-            _ => push(i + 1)?,
-        }
-        longest[i] = 1 + succ_max;
-    }
-    Some(longest.first().copied().unwrap_or(0))
-}
-
-/// Register the instruction writes, if any.
-fn written_reg(insn: &Insn) -> Option<u8> {
-    match insn {
-        Insn::LdImm { dst, .. }
-        | Insn::LdField { dst, .. }
-        | Insn::Mov { dst, .. }
-        | Insn::Alu { dst, .. }
-        | Insn::Neg { dst }
-        | Insn::LogicalNot { dst }
-        | Insn::HashField { dst, .. }
-        | Insn::LenField { dst, .. }
-        | Insn::Rand { dst }
-        | Insn::Now { dst }
-        | Insn::MapLookup { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-/// The original coarse audit over the legacy instruction stream.
-fn check_program_heuristic(
-    element: &str,
-    dir: &str,
-    prog: &EbpfProgram,
-    policy: &EbpfPolicy,
-) -> Result<(usize, usize), Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-
-    let path = match longest_path(prog) {
-        Some(p) => p,
-        None => {
-            diags.push(Diagnostic::error(
-                codes::EBPF_UNBOUNDED,
-                format!("element `{element}` {dir} program has a jump past the end"),
-            ));
-            0
-        }
-    };
-    if path > policy.max_path_insns {
-        diags.push(Diagnostic::error(
-            codes::EBPF_UNBOUNDED,
-            format!(
-                "element `{element}` {dir} program's longest path is {path} \
-                 instructions; the site allows {}",
-                policy.max_path_insns
-            ),
-        ));
-    }
-
-    for insn in &prog.insns {
-        let denied = match insn {
-            Insn::Rand { .. } if !policy.allow_rand => Some("rand"),
-            Insn::Now { .. } if !policy.allow_now => Some("now"),
-            Insn::MapLookup { .. } | Insn::MapUpdate { .. } | Insn::MapDelete { .. }
-                if !policy.allow_map_helpers =>
-            {
-                Some("map access")
-            }
-            Insn::Route { .. } if !policy.allow_route => Some("route"),
-            _ => None,
-        };
-        if let Some(helper) = denied {
-            diags.push(
-                Diagnostic::error(
-                    codes::EBPF_HELPER,
-                    format!(
-                        "element `{element}` {dir} program uses the `{helper}` helper, \
-                         which this site's policy does not whitelist"
-                    ),
-                )
-                .with_help("place the element on a native processor instead"),
-            );
-            break; // one diagnostic per program is enough
-        }
-    }
-
-    // Stack model: 8 bytes per distinct register the program ever writes
-    // (each live register spills to one stack slot in the worst case).
-    // The abstract interpreter replaces this with the real watermark.
-    let mut regs = 0u16;
-    for insn in &prog.insns {
-        if let Some(r) = written_reg(insn) {
-            regs |= 1 << r;
-        }
-    }
-    let stack = regs.count_ones() as usize * 8;
-    if stack > policy.max_stack_bytes {
-        diags.push(Diagnostic::error(
-            codes::EBPF_STACK,
-            format!(
-                "element `{element}` {dir} program needs {stack} stack bytes; the \
-                 site allows {}",
-                policy.max_stack_bytes
-            ),
-        ));
-    }
-
-    if diags.is_empty() {
-        Ok((path, stack))
-    } else {
-        Err(diags)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry point
-// ---------------------------------------------------------------------------
-
 /// Verifies that `element` can be offloaded under `policy`. `Ok` carries
-/// the proved (or, under the fallback, simulated) resource bounds for
-/// cost models; `Err` carries the diagnostics that explain why the
-/// element must stay on a native processor.
+/// the proved resource bounds for cost models; `Err` carries the
+/// diagnostics that explain why the element must stay on a native
+/// processor.
 pub fn audit_element(
     element: &ElementIr,
     policy: &EbpfPolicy,
@@ -383,41 +204,24 @@ pub fn audit_element(
 
     let num_maps = compiled.map_inits.len();
     let mut diags = Vec::new();
-    let mut report = EbpfAuditReport {
-        precise: policy.use_absint,
-        ..EbpfAuditReport::default()
-    };
+    let mut report = EbpfAuditReport::default();
 
-    for (dir, prog, path_slot) in [
-        ("request", &compiled.request, 0usize),
-        ("response", &compiled.response, 1usize),
+    for (dir, prog, path) in [
+        ("request", &compiled.request, &mut report.request_path_insns),
+        (
+            "response",
+            &compiled.response,
+            &mut report.response_path_insns,
+        ),
     ] {
-        if policy.use_absint {
-            match check_program_absint(&element.name, dir, prog, num_maps, policy) {
-                Ok((path, stack, helpers, required_ctx)) => {
-                    if path_slot == 0 {
-                        report.request_path_insns = path;
-                    } else {
-                        report.response_path_insns = path;
-                    }
-                    report.stack_bytes = report.stack_bytes.max(stack);
-                    report.helper_calls = report.helper_calls.max(helpers);
-                    report.required_ctx_bytes = report.required_ctx_bytes.max(required_ctx);
-                }
-                Err(d) => diags.extend(d),
+        match check_program(&element.name, dir, prog, num_maps, policy) {
+            Ok((insns, stack, helpers, required_ctx)) => {
+                *path = insns;
+                report.stack_bytes = report.stack_bytes.max(stack);
+                report.helper_calls = report.helper_calls.max(helpers);
+                report.required_ctx_bytes = report.required_ctx_bytes.max(required_ctx);
             }
-        } else {
-            match check_program_heuristic(&element.name, dir, prog, policy) {
-                Ok((path, stack)) => {
-                    if path_slot == 0 {
-                        report.request_path_insns = path;
-                    } else {
-                        report.response_path_insns = path;
-                    }
-                    report.stack_bytes = report.stack_bytes.max(stack);
-                }
-                Err(d) => diags.extend(d),
-            }
+            Err(d) => diags.extend(d),
         }
     }
 
@@ -435,7 +239,7 @@ mod tests {
     use adn_rpc::schema::RpcSchema;
     use adn_rpc::value::ValueType;
 
-    fn lower(src: &str) -> ElementIr {
+    fn schemas() -> (RpcSchema, RpcSchema) {
         let req = RpcSchema::builder()
             .field("user_id", ValueType::U64)
             .field("object_id", ValueType::U64)
@@ -446,6 +250,11 @@ mod tests {
             .field("ok", ValueType::Bool)
             .build()
             .unwrap();
+        (req, resp)
+    }
+
+    fn lower(src: &str) -> ElementIr {
+        let (req, resp) = schemas();
         let checked = check_element(&parse_element(src).unwrap(), &req, &resp).unwrap();
         adn_ir::lower_element(&checked, &[], &req, &resp).unwrap()
     }
@@ -463,7 +272,6 @@ mod tests {
     #[test]
     fn offloadable_element_passes_default_policy() {
         let report = audit_element(&lower(NUMERIC_ACL), &EbpfPolicy::default()).unwrap();
-        assert!(report.precise);
         assert!(report.request_path_insns > 0);
         // The map lookup writes its key to the stack; the proved watermark
         // covers at least that slot.
@@ -474,19 +282,6 @@ mod tests {
         assert!(report.required_ctx_bytes >= 8, "{report:?}");
         // Response handler is empty: prologue, `r0 = 0`, `exit`.
         assert_eq!(report.response_path_insns, 3);
-    }
-
-    #[test]
-    fn absint_and_heuristic_agree_on_acceptance() {
-        let heuristic = EbpfPolicy {
-            use_absint: false,
-            ..EbpfPolicy::default()
-        };
-        let precise = audit_element(&lower(NUMERIC_ACL), &EbpfPolicy::default()).unwrap();
-        let coarse = audit_element(&lower(NUMERIC_ACL), &heuristic).unwrap();
-        assert!(precise.precise);
-        assert!(!coarse.precise);
-        assert_eq!(coarse.helper_calls, 0); // not modeled by the fallback
     }
 
     #[test]
@@ -556,9 +351,8 @@ mod tests {
 
     #[test]
     fn stateless_arithmetic_has_zero_proved_stack() {
-        // The heuristic charges 8 bytes per written register, so a pure
-        // arithmetic element busts a 16-byte budget. The abstract
-        // interpreter proves it never touches the stack at all.
+        // Pure arithmetic writes several registers but never touches the
+        // stack, so it fits even a 16-byte budget.
         let arith = "element A() { on request { SET object_id = input.object_id * 3 + input.user_id % 7; SELECT * FROM input; } }";
         let element = lower(arith);
         let tight = EbpfPolicy {
@@ -567,16 +361,6 @@ mod tests {
         };
         let report = audit_element(&element, &tight).unwrap();
         assert_eq!(report.stack_bytes, 0, "{report:?}");
-
-        let coarse = EbpfPolicy {
-            use_absint: false,
-            ..tight
-        };
-        let diags = audit_element(&element, &coarse).unwrap_err();
-        assert!(
-            diags.iter().any(|d| d.code == codes::EBPF_STACK),
-            "heuristic should reject what absint proves safe: {diags:?}"
-        );
     }
 
     #[test]
@@ -607,8 +391,88 @@ mod tests {
         let set = "element S() { on request { SET object_id = CASE WHEN input.user_id > 1 THEN 1 ELSE 2 END; SELECT * FROM input; } }";
         let report = audit_element(&lower(set), &EbpfPolicy::default()).unwrap();
         let compiled = compile(&lower(set)).unwrap();
-        let assembled = isa::assemble(&compiled.request).unwrap();
         // Slot count over-counts lddw pairs, so it upper-bounds any path.
-        assert!(report.request_path_insns <= assembled.insns.len());
+        assert!(report.request_path_insns <= compiled.request.len());
+    }
+
+    // The abstract interpreter is the one verifier, for compiled and
+    // hand-built programs alike.
+
+    fn analyze(prog: &[BpfInsn], num_maps: usize) -> OffloadVerdict {
+        let opts = AbsintOptions {
+            num_maps,
+            ctx_bytes: Some(24),
+        };
+        absint::analyze(prog, &opts).verdict
+    }
+
+    fn rejected_with(prog: &[BpfInsn], num_maps: usize) -> Vec<&'static str> {
+        match analyze(prog, num_maps) {
+            OffloadVerdict::Unsafe { diags } => diags.iter().map(|d| d.code).collect(),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn numeric_acl_compiles_and_verifies() {
+        let types = |s: &RpcSchema| s.fields().iter().map(|f| f.ty).collect::<Vec<_>>();
+        let (req, resp) = schemas();
+        let compiled =
+            adn_backend::ebpf::compile_for_schema(&lower(NUMERIC_ACL), &types(&req), &types(&resp))
+                .unwrap();
+        assert_eq!(compiled.map_inits[0].len(), 2);
+        for prog in [&compiled.request, &compiled.response] {
+            assert!(
+                matches!(analyze(prog, 1), OffloadVerdict::Safe { .. }),
+                "{}",
+                isa::disasm(prog)
+            );
+        }
+    }
+
+    #[test]
+    fn verifier_rejects_uninitialized_register_read() {
+        let prog = [
+            isa::mov64_reg(isa::CTX_REG, 1),
+            isa::mov64_reg(2, 3),
+            isa::mov64_imm(0, 0),
+            isa::exit(),
+        ];
+        assert_eq!(rejected_with(&prog, 0), vec![codes::EBPF_UNINIT]);
+    }
+
+    #[test]
+    fn verifier_rejects_fallthrough() {
+        let prog = [isa::mov64_reg(isa::CTX_REG, 1), isa::mov64_imm(1, 0)];
+        assert!(!rejected_with(&prog, 0).is_empty());
+    }
+
+    #[test]
+    fn verifier_rejects_out_of_range_jump() {
+        let prog = [isa::ja(99), isa::mov64_imm(0, 0), isa::exit()];
+        assert_eq!(rejected_with(&prog, 0), vec![codes::EBPF_UNBOUNDED]);
+    }
+
+    #[test]
+    fn verifier_rejects_maplookup_miss_path_using_dst() {
+        // The lookup's destination is loaded on the hit edge only; the call
+        // clobbered r2, so reading it after the join fails on the miss edge.
+        let mut prog = vec![
+            isa::mov64_reg(isa::CTX_REG, 1),
+            isa::mov64_imm(1, 5),
+            isa::stx(isa::BPF_DW, isa::FP_REG, 1, isa::KEY_SLOT),
+        ];
+        prog.extend(isa::lddw_map(1, 0));
+        prog.extend([
+            isa::mov64_reg(2, isa::FP_REG),
+            isa::alu64_imm(isa::BPF_ADD, 2, isa::KEY_SLOT as i32),
+            isa::call(isa::HELPER_MAP_LOOKUP),
+            isa::jmp_imm(isa::BPF_JEQ, 0, 0, 1),
+            isa::ldx(isa::BPF_DW, 2, 0, 0),
+            isa::mov64_reg(3, 2),
+            isa::mov64_imm(0, 0),
+            isa::exit(),
+        ]);
+        assert_eq!(rejected_with(&prog, 1), vec![codes::EBPF_UNINIT]);
     }
 }

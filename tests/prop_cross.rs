@@ -226,3 +226,49 @@ proptest! {
         prop_assert_eq!(a_final.fields, b.fields);
     }
 }
+
+/// Placement audits `ebpf::compile` (field types inferred from usage);
+/// deploy runs `ebpf::compile_for_schema` (the real schema types). For every
+/// example and parameterless catalog element that offloads, the two must
+/// produce byte-identical encoded programs — otherwise the audit proved a
+/// different program from the one that goes live.
+#[test]
+fn audit_compile_matches_deploy_compile() {
+    let (req, resp) = object_store_schemas();
+    let types = |s: &RpcSchema| s.fields().iter().map(|f| f.ty).collect::<Vec<ValueType>>();
+    let (req_types, resp_types) = (types(&req), types(&resp));
+
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/dsl");
+    let mut elements = Vec::new();
+    for entry in std::fs::read_dir(&examples).expect("examples/dsl exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "adn") {
+            let source = std::fs::read_to_string(&path).unwrap();
+            for element in adn_dsl::parser::parse_program(&source).unwrap().elements {
+                let checked = adn_dsl::typecheck::check_element(&element, &req, &resp).unwrap();
+                elements.push(adn_ir::lower_element(&checked, &[], &req, &resp).unwrap());
+            }
+        }
+    }
+    elements.extend(
+        adn_elements::standard_names()
+            .into_iter()
+            .filter_map(|name| adn_elements::build(name, &[], &req, &resp).ok()),
+    );
+
+    let mut offloadable = 0;
+    for element in &elements {
+        let Ok(audited) = ebpf::compile(element) else {
+            continue;
+        };
+        let deployed = ebpf::compile_for_schema(element, &req_types, &resp_types)
+            .unwrap_or_else(|e| panic!("{} audits but does not deploy: {e}", element.name));
+        assert_eq!(
+            audited, deployed,
+            "{}: audit and deploy programs differ",
+            element.name
+        );
+        offloadable += 1;
+    }
+    assert!(offloadable >= 3, "only {offloadable} offloadable elements");
+}
