@@ -12,6 +12,10 @@
 //!   reverse — the same trick sidecars use. A control channel supports
 //!   pause / snapshot / restore / drain / hot-chain-swap, the primitives
 //!   live migration is built from.
+//! * [`hop_core`] — the sans-IO hop the processor thread drives: classify,
+//!   admission, decode, chain, verdict and dedup replay over one batch,
+//!   with no thread, channel, link or clock inside. The simulator drives
+//!   the same core, so its invariants check production hop logic.
 //! * [`scaleout`] — Figure 2 Configuration 4: a shard router endpoint in
 //!   front of N processor instances, sharding by a request field so keyed
 //!   element state stays shard-local.
@@ -20,10 +24,12 @@
 //!   crosses as opaque bytes that are never re-parsed.
 
 pub mod hop;
+pub mod hop_core;
 pub mod processor;
 pub mod scaleout;
 pub mod shard;
 
+pub use hop_core::{HopCore, HopOutcome, HopOutput, OutcomeKind};
 pub use processor::{
     spawn_processor, NextHop, OverloadPolicy, ProcessorConfig, ProcessorHandle, ProcessorStats,
     StatsSnapshot, DEFAULT_BATCH_MAX,
