@@ -8,11 +8,12 @@
 //! of `(scenario, seed)`: the same seed replays byte-identically, and a
 //! failing seed shrinks to the minimal event prefix that reproduces it.
 //!
-//! The node models are thin event-driven shells around the *real*
-//! runtime components — compiled element chains ([`adn_elements`] →
-//! [`adn_backend`]), dedup windows, NAT flow tables, circuit breakers,
-//! and retry backoff from [`adn_rpc`], trace contexts from
-//! [`adn_wire`] — so invariants are checked against production logic.
+//! Every simulated processor hop is the production
+//! [`adn_dataplane::HopCore`] — the sans-IO core the processor thread
+//! drives — running compiled element chains ([`adn_elements`] →
+//! [`adn_backend`]); client and server reuse the real dedup windows,
+//! circuit breakers and retry backoff from [`adn_rpc`]. Invariants are
+//! checked against production code, not a model of it.
 //!
 //! ## Layout
 //!

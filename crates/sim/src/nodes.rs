@@ -1,24 +1,24 @@
 //! Message-level models of the cluster's node types. Each model is plain
-//! data driven by the scenario's event handlers; none owns a thread, a
-//! lock, or a clock. Where the real runtime has a mechanism that matters
-//! for correctness — dedup windows, NAT flow tables, circuit breakers,
-//! retry budgets, engine chains — the model reuses the *real* component
-//! rather than a simplified copy, so the simulator exercises the same
-//! code the production path runs.
+//! data driven by the scenario's event handlers; none owns a thread or a
+//! clock. A simulated processor *is* the production hop: a
+//! [`HopCore`] — the same sans-IO core the processor thread drives — plus
+//! the sim's driver state (liveness, inbox, overload busy time). Client
+//! and server reuse the real dedup windows, circuit breakers and retry
+//! budgets rather than simplified copies.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use adn_rpc::engine::EngineChain;
+use adn_dataplane::HopCore;
 use adn_rpc::retry::{CircuitBreaker, DedupWindow, DegradedMode, RetryPolicy};
 use adn_rpc::schema::RpcSchema;
 use adn_rpc::transport::Frame;
 use adn_rpc::value::Value;
 use adn_wire::header::Priority;
 
-/// Dedup window capacity used by simulated processors and the server.
-/// Larger than any scenario's in-flight set, so eviction never weakens
+/// Dedup window capacity of the simulated server (processors use the
+/// production window inside [`HopCore`]). Larger than any scenario's in-flight set, so eviction never weakens
 /// the at-most-once invariant inside a run.
 pub const DEDUP_CAP: usize = 4096;
 
@@ -56,25 +56,6 @@ impl ElementSpec {
             source: Some(source.to_string()),
         }
     }
-}
-
-/// Where a processor sends accepted requests.
-#[derive(Debug, Clone)]
-pub enum NextHop {
-    /// Single downstream endpoint.
-    Fixed(u64),
-    /// Key-hash over shard replicas (post-scale-out router mode).
-    Sharded(Vec<u64>),
-}
-
-/// What a processor did with a (deduplicated) message — replayed verbatim
-/// on retransmission.
-#[derive(Debug, Clone)]
-pub enum CachedAction {
-    /// A frame was emitted; retransmits resend the identical frame.
-    Sent(Frame),
-    /// The chain dropped the message; retransmits drop too.
-    Dropped,
 }
 
 /// The state of one in-flight or finished client call.
@@ -147,24 +128,15 @@ impl SimClient {
     }
 }
 
-/// A simulated chain processor: the real engine chain plus the real
-/// dedup/NAT bookkeeping from the serve loop, minus the thread.
-#[derive(Debug)]
+/// A simulated chain processor: the production [`HopCore`] plus the
+/// driver state the processor thread would otherwise hold.
 pub struct SimProcessor {
-    /// Flat endpoint address (stable across failover and migration).
-    pub addr: u64,
-    /// The real compiled element chain.
-    pub chain: EngineChain,
-    /// Buildable description of `chain` for failover/migration rebuilds.
+    /// The production hop: chain, dedup windows, NAT flows, admission.
+    pub core: HopCore,
+    /// Buildable description of the chain for failover/migration rebuilds.
     pub elements: Vec<ElementSpec>,
-    /// Downstream routing for accepted requests.
-    pub next_req: NextHop,
-    /// NAT flow table: call id → original requester address.
-    pub flows: HashMap<u64, u64>,
-    /// Request dedup window, keyed by (upstream address, call id).
-    pub req_cache: DedupWindow<(u64, u64), CachedAction>,
-    /// Response dedup window, keyed by call id.
-    pub resp_cache: DedupWindow<u64, CachedAction>,
+    /// Where the core forwards accepted requests (kept for rebuilds).
+    pub next: u64,
     /// False after a `Kill`: stops heartbeating, blackholes frames.
     pub alive: bool,
     /// Virtual time of the last heartbeat the controller saw.
@@ -180,21 +152,12 @@ pub struct SimProcessor {
 }
 
 impl SimProcessor {
-    /// A fresh processor with the given chain.
-    pub fn new(
-        addr: u64,
-        chain: EngineChain,
-        elements: Vec<ElementSpec>,
-        next_req: NextHop,
-    ) -> Self {
+    /// A fresh processor around `core`.
+    pub fn new(core: HopCore, elements: Vec<ElementSpec>, next: u64) -> Self {
         Self {
-            addr,
-            chain,
+            core,
             elements,
-            next_req,
-            flows: HashMap::new(),
-            req_cache: DedupWindow::new(DEDUP_CAP),
-            resp_cache: DedupWindow::new(DEDUP_CAP),
+            next,
             alive: true,
             last_beat: Duration::ZERO,
             inbox: Vec::new(),
@@ -277,8 +240,9 @@ pub struct Facts {
     pub calls_timed_out: u64,
     /// Calls fast-failed with a `Shed` verdict.
     pub calls_shed: u64,
-    /// Shed verdicts issued by processor admission control (may exceed
-    /// `calls_shed`: retransmits of an unresolved call can shed again).
+    /// Shed verdicts issued by processors, by admission control or a chain
+    /// element (may exceed `calls_shed`: retransmits of an unresolved call
+    /// can shed again).
     pub sheds: u64,
     /// Frames dropped at admission because their deadline budget was
     /// already exhausted — counted, never silent.

@@ -3,11 +3,14 @@
 //! A [`Scenario`] describes a whole cluster — chain topology, workload,
 //! chaos policy, failure schedule, controller knobs — and `run(seed)`
 //! executes it deterministically inside a [`SimExecutor`]: one thread,
-//! one RNG, virtual time only. The node models reuse the real runtime's
-//! pure components (compiled element chains, dedup windows, NAT flow
-//! tables, circuit breakers, retry backoff, trace contexts), so the
-//! invariants checked here are checked against production logic, not a
-//! simplified re-implementation.
+//! one RNG, virtual time only. Every processor hop runs the production
+//! [`HopCore`] — the same sans-IO core the processor thread drives:
+//! classify, dedup, admission, decode, chain, NAT, verdict, spans. The sim
+//! only drives it (inbox, batch window, overload busy time, routing after
+//! scale-out) and reads its outcome records into the log and the facts,
+//! so the invariants checked here are checked against production code.
+//! Client, server and controller reuse the real dedup windows, circuit
+//! breakers and retry backoff.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,8 +20,9 @@ use adn::harness::{object_store_schemas, object_store_service};
 use adn_backend::jit::{compile_engine, JitTier};
 use adn_backend::native::CompileOpts;
 use adn_dataplane::processor::OverloadPolicy;
+use adn_dataplane::{HopCore, HopOutput, NextHop, OutcomeKind, ProcessorConfig};
 use adn_rpc::chaos::ChaosPolicy;
-use adn_rpc::engine::{EngineChain, Verdict};
+use adn_rpc::engine::EngineChain;
 use adn_rpc::message::{MessageKind, RpcMessage, RpcStatus};
 use adn_rpc::retry::{BreakerPolicy, CircuitBreaker, DedupWindow, DegradedMode, RetryPolicy};
 use adn_rpc::schema::{RpcSchema, ServiceSchema};
@@ -26,14 +30,15 @@ use adn_rpc::transport::Frame;
 use adn_rpc::value::Value;
 use adn_rpc::wire_format::{decode_message_exact, encode_message_to_vec};
 use adn_telemetry::trace::mix64;
+use adn_telemetry::{HopTelemetry, Registry, Sampler, SpanRing};
 use adn_wire::header::{OverloadContext, Priority};
 use rand::Rng;
 
 use crate::executor::{Event, SimExecutor};
 use crate::invariant::{invariants_for, Violation};
 use crate::nodes::{
-    AutoscaleModel, CachedAction, CallOutcome, CallState, ElementSpec, Facts, NextHop, SimClient,
-    SimController, SimProcessor, SimServer, SpanFact, DEDUP_CAP,
+    AutoscaleModel, CallOutcome, CallState, ElementSpec, Facts, SimClient, SimController,
+    SimProcessor, SimServer, SpanFact, DEDUP_CAP,
 };
 
 /// The client's flat endpoint address.
@@ -137,12 +142,13 @@ pub struct Scenario {
     /// Whether timed-out calls are tolerated (true under chaos; false
     /// means the zero-loss invariant fails the run on any timeout).
     pub allow_timeouts: bool,
-    /// Frames a processor drains per batch. `1` (the default) is the
-    /// legacy per-frame delivery path — byte-identical to the golden log.
+    /// Frames a processor drains per batch. `1` (the default) hands each
+    /// delivered frame to the processor's `HopCore` as a batch of one.
     /// Larger values route deliveries through a per-processor inbox that
-    /// drains up to `batch` frames one batch window after the first one
-    /// lands, with batch-local duplicate deferral mirroring the real
-    /// serve loop.
+    /// drains up to `batch` frames into one `HopCore::on_batch` call one
+    /// batch window after the first one lands — production's batch
+    /// semantics (one admission decision, in-batch duplicate deferral,
+    /// forwards sent before replays) because it is production's code.
     pub batch: usize,
     /// Element chain to distribute over the processors. `None` (the
     /// default) runs the paper-eval chain (Logging → ACL → Fault with
@@ -556,59 +562,6 @@ fn paper_elements(fault_prob: f64) -> Vec<ElementSpec> {
     ]
 }
 
-/// Stable discriminant for the verdict-stream fingerprint.
-fn verdict_tag(v: &Verdict) -> u8 {
-    match v {
-        Verdict::Forward => 0,
-        Verdict::Drop => 1,
-        Verdict::Abort { .. } => 2,
-        Verdict::Shed => 3,
-    }
-}
-
-/// Abort code folded into the verdict-stream fingerprint (0 otherwise).
-fn verdict_code(v: &Verdict) -> u64 {
-    match v {
-        Verdict::Abort { code, .. } => *code as u64,
-        _ => 0,
-    }
-}
-
-/// Compiles a chain from element specs with a fixed per-run compile seed
-/// (rebuilds during failover/migration replay the same random stream).
-fn build_chain(
-    specs: &[ElementSpec],
-    req: &RpcSchema,
-    resp: &RpcSchema,
-    compile_seed: u64,
-    jit: JitTier,
-) -> EngineChain {
-    let mut chain = EngineChain::new();
-    for spec in specs {
-        let ir = match &spec.source {
-            Some(src) => {
-                let ast = adn_dsl::parser::parse_element(src)
-                    .unwrap_or_else(|e| panic!("element {} must parse: {e:?}", spec.name));
-                let checked = adn_dsl::typecheck::check_element(&ast, req, resp)
-                    .unwrap_or_else(|e| panic!("element {} must typecheck: {e:?}", spec.name));
-                adn_ir::lower_element(&checked, &[], req, resp)
-                    .unwrap_or_else(|e| panic!("element {} must lower: {e:?}", spec.name))
-            }
-            None => adn_elements::build(&spec.name, &spec.args, req, resp)
-                .unwrap_or_else(|e| panic!("element {} must build: {e:?}", spec.name)),
-        };
-        chain.push(compile_engine(
-            &ir,
-            &CompileOpts {
-                seed: compile_seed,
-                replicas: vec![],
-                jit,
-            },
-        ));
-    }
-    chain
-}
-
 /// The live simulation: executor + node models + observed facts.
 pub(crate) struct Sim<'a> {
     cfg: &'a Scenario,
@@ -628,6 +581,12 @@ pub(crate) struct Sim<'a> {
     shard_elements: Vec<ElementSpec>,
     /// Downstream hop shards forward to (set at first scale-out).
     shard_downstream: u64,
+    /// Shard each request the post-scale-out entry routed went to, so a
+    /// replay of that forward goes where the original did.
+    routes: BTreeMap<u64, u64>,
+    /// Wiring every processor's `HopCore` shares; its span ring is drained
+    /// into `facts.spans` after each batch.
+    telemetry: HopTelemetry,
     partitioned: bool,
     compile_seed: u64,
     service: Arc<ServiceSchema>,
@@ -654,17 +613,6 @@ impl<'a> Sim<'a> {
         for (j, spec) in elements.into_iter().enumerate() {
             let target = (j * n) / len;
             groups[target.min(n - 1)].push(spec);
-        }
-        let mut procs = BTreeMap::new();
-        for (i, group) in groups.into_iter().enumerate() {
-            let addr = PROC_BASE + i as u64;
-            let next = if i + 1 < n {
-                NextHop::Fixed(PROC_BASE + i as u64 + 1)
-            } else {
-                NextHop::Fixed(SERVER_ADDR)
-            };
-            let chain = build_chain(&group, &req_schema, &resp_schema, compile_seed, cfg.jit);
-            procs.insert(addr, SimProcessor::new(addr, chain, group, next));
         }
 
         let client = SimClient {
@@ -743,12 +691,12 @@ impl<'a> Sim<'a> {
             exec.schedule_at(start, Event::PartitionStart);
             exec.schedule_at(end.max(start), Event::PartitionEnd);
         }
-        Self {
+        let mut sim = Self {
             cfg,
             exec,
             facts: Facts::default(),
             client,
-            procs,
+            procs: BTreeMap::new(),
             server,
             ctl,
             entry: PROC_BASE,
@@ -756,12 +704,87 @@ impl<'a> Sim<'a> {
             shards: Vec::new(),
             shard_elements: Vec::new(),
             shard_downstream: SERVER_ADDR,
+            routes: BTreeMap::new(),
+            telemetry: HopTelemetry {
+                app: "sim".into(),
+                registry: Arc::new(Registry::new()),
+                spans: Arc::new(SpanRing::new(4096)),
+                sampler: Arc::new(Sampler::off()),
+                metrics_processor: None,
+            },
             partitioned: false,
             compile_seed,
             service,
             req_schema,
             resp_schema,
+        };
+        for (i, group) in groups.into_iter().enumerate() {
+            let addr = PROC_BASE + i as u64;
+            let next = if i + 1 < n { addr + 1 } else { SERVER_ADDR };
+            let chain = sim.build_chain(&group, &[]);
+            sim.spawn_proc(addr, chain, group, next);
         }
+        sim
+    }
+
+    /// Compiles `specs` with this run's fixed compile seed and engine tier
+    /// (rebuilds during failover/migration replay the same random stream),
+    /// then restores `images` best effort, like the real controller: an
+    /// image set of the wrong shape (empty, or post-reconfig) leaves fresh
+    /// state.
+    fn build_chain(&self, specs: &[ElementSpec], images: &[Vec<u8>]) -> EngineChain {
+        let (req, resp) = (&*self.req_schema, &*self.resp_schema);
+        let mut chain = EngineChain::new();
+        for spec in specs {
+            let ir = match &spec.source {
+                Some(src) => {
+                    let ast = adn_dsl::parser::parse_element(src)
+                        .unwrap_or_else(|e| panic!("element {} must parse: {e:?}", spec.name));
+                    let checked = adn_dsl::typecheck::check_element(&ast, req, resp)
+                        .unwrap_or_else(|e| panic!("element {} must typecheck: {e:?}", spec.name));
+                    adn_ir::lower_element(&checked, &[], req, resp)
+                        .unwrap_or_else(|e| panic!("element {} must lower: {e:?}", spec.name))
+                }
+                None => adn_elements::build(&spec.name, &spec.args, req, resp)
+                    .unwrap_or_else(|e| panic!("element {} must build: {e:?}", spec.name)),
+            };
+            chain.push(compile_engine(
+                &ir,
+                &CompileOpts {
+                    seed: self.compile_seed,
+                    replicas: vec![],
+                    jit: self.cfg.jit,
+                },
+            ));
+        }
+        let _ = chain.import_states(images);
+        chain
+    }
+
+    /// Installs a fresh processor at `addr`.
+    fn spawn_proc(&mut self, addr: u64, chain: EngineChain, elements: Vec<ElementSpec>, next: u64) {
+        let core = self.new_core(addr, chain, next);
+        self.procs
+            .insert(addr, SimProcessor::new(core, elements, next));
+    }
+
+    /// A production `HopCore` for `addr` with the scenario's batch ceiling
+    /// and admission policy, forwarding requests to `next` and responses
+    /// along the NAT flow.
+    fn new_core(&self, addr: u64, chain: EngineChain, next: u64) -> HopCore {
+        let mut config = ProcessorConfig::new(
+            addr,
+            self.service.clone(),
+            chain,
+            NextHop::Fixed(next),
+            NextHop::Dst,
+        )
+        .with_telemetry(self.telemetry.clone())
+        .with_batch(self.cfg.batch);
+        if let Some(model) = &self.cfg.overload {
+            config = config.with_overload(model.policy);
+        }
+        HopCore::new(config)
     }
 
     fn client_done(&self) -> bool {
@@ -1075,50 +1098,27 @@ impl<'a> Sim<'a> {
 
     fn proc_recv(&mut self, now: Duration, frame: Frame) {
         let addr = frame.dst;
-        {
-            let p = self.procs.get_mut(&addr).expect("routed to a processor");
-            if !p.alive {
-                self.facts.frames_blackholed += 1;
-                self.exec.log(format!("blackhole addr={addr}"));
-                return;
-            }
-            p.last_beat = now;
-            if self.cfg.batch > 1 {
-                p.inbox.push(frame);
-                if !p.flush_pending {
-                    p.flush_pending = true;
-                    self.exec
-                        .schedule_after(BATCH_WINDOW, Event::FlushBatch { addr });
-                }
-                return;
-            }
+        let p = self.procs.get_mut(&addr).expect("routed to a processor");
+        if !p.alive {
+            self.facts.frames_blackholed += 1;
+            self.exec.log(format!("blackhole addr={addr}"));
+            return;
         }
-        self.proc_one(now, frame);
-    }
-
-    /// Decodes one frame and runs it through the per-message processor
-    /// path (the `batch == 1` hot path, and phase 4 of a batch drain).
-    fn proc_one(&mut self, now: Duration, frame: Frame) {
-        let msg = match decode_message_exact(&frame.payload, &self.service) {
-            Ok(m) => m,
-            Err(e) => {
+        p.last_beat = now;
+        if self.cfg.batch > 1 {
+            p.inbox.push(frame);
+            if !p.flush_pending {
+                p.flush_pending = true;
                 self.exec
-                    .log(format!("proc_decode_error addr={} {e:?}", frame.dst));
-                return;
+                    .schedule_after(BATCH_WINDOW, Event::FlushBatch { addr });
             }
-        };
-        match msg.kind {
-            MessageKind::Request => self.proc_request(now, frame, msg),
-            MessageKind::Response => self.proc_response(frame, msg),
+            return;
         }
+        self.run_hop(now, addr, vec![frame]);
     }
 
     /// Drains up to `batch` frames from a processor's inbox in arrival
-    /// order, mirroring the real serve loop's batch pipeline: duplicates
-    /// of a message already in the batch are deferred until the
-    /// original's verdict is cached, then replayed from the dedup window
-    /// — so a retransmit landing in the same batch as its original can
-    /// never execute twice.
+    /// order into one `HopCore::on_batch` call.
     fn flush_batch(&mut self, now: Duration, addr: u64) {
         let Some(p) = self.procs.get_mut(&addr) else {
             return;
@@ -1145,310 +1145,158 @@ impl<'a> Sim<'a> {
         }
         self.exec
             .log(format!("batch addr={addr} n={}", frames.len()));
-        let mut deferred: Vec<Frame> = Vec::new();
-        let mut seen_req: Vec<(u64, u64)> = Vec::new();
-        let mut seen_resp: Vec<u64> = Vec::new();
-        for frame in frames {
-            let msg = match decode_message_exact(&frame.payload, &self.service) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.exec
-                        .log(format!("proc_decode_error addr={addr} {e:?}"));
-                    continue;
-                }
-            };
-            match msg.kind {
-                MessageKind::Request => {
-                    let key = (frame.src, msg.call_id);
-                    if seen_req.contains(&key) {
-                        self.exec
-                            .log(format!("batch_defer addr={addr} call={}", msg.call_id));
-                        deferred.push(frame);
-                    } else {
-                        seen_req.push(key);
-                        self.proc_request(now, frame, msg);
-                    }
-                }
-                MessageKind::Response => {
-                    if seen_resp.contains(&msg.call_id) {
-                        self.exec
-                            .log(format!("batch_defer addr={addr} call={}", msg.call_id));
-                        deferred.push(frame);
-                    } else {
-                        seen_resp.push(msg.call_id);
-                        self.proc_response(frame, msg);
-                    }
-                }
-            }
-        }
-        // Phase 4: deferred duplicates replay from the now-populated
-        // caches (each one lands a dedup hit, never a second execution).
-        for frame in deferred {
-            self.proc_one(now, frame);
-        }
+        self.run_hop(now, addr, frames);
     }
 
-    fn proc_request(&mut self, now: Duration, frame: Frame, mut msg: RpcMessage) {
-        let addr = frame.dst;
-        let key = (frame.src, msg.call_id);
-        let (cached, backlog_wait) = {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            (
-                p.req_cache.get(&key).cloned(),
-                p.busy_until.saturating_sub(now),
-            )
-        };
-        if let Some(cached) = cached {
-            self.facts.dedup_hits += 1;
-            match cached {
-                CachedAction::Sent(f) => {
-                    self.exec
-                        .log(format!("dedup_replay addr={addr} call={}", msg.call_id));
-                    // Under the overload model the cached verdict exists
-                    // the moment the original was *admitted*, but its
-                    // output cannot leave before the worker reaches it —
-                    // replays are charged the current backlog so a
-                    // retransmit never leapfrogs the queue it is in.
-                    let extra = if self.cfg.overload.is_some() && addr == self.entry {
-                        backlog_wait
-                    } else {
-                        Duration::ZERO
-                    };
-                    self.send_frame_extra(f, extra);
-                }
-                CachedAction::Dropped => {
-                    self.exec
-                        .log(format!("dedup_drop addr={addr} call={}", msg.call_id));
-                }
-            }
-            return;
-        }
-        // Overload admission at the bottleneck hop, mirroring the real
-        // serve loop's classify phase: charge the queueing delay against
-        // the in-band budget, drop expired work, shed below the ladder
-        // floor — all before the chain runs. Dedup replays above bypass
-        // admission: their verdict was already paid for.
-        let mut queue_extra = Duration::ZERO;
-        if self.cfg.overload.is_some() && addr == self.entry {
-            let model = self.cfg.overload.as_ref().expect("checked");
-            let (wait, backlog) = {
-                let p = self.procs.get_mut(&addr).expect("alive processor");
-                let wait = p.busy_until.saturating_sub(now);
-                let backlog = (wait.as_nanos() / model.service_time.as_nanos().max(1)) as usize;
-                (wait, backlog)
-            };
+    /// Runs one batch through the processor's `HopCore`, then turns its
+    /// outcome records into log lines, facts and sends — forwards first,
+    /// then replays, as the processor thread sends them.
+    ///
+    /// The overload model lives here, not in the core: at the entry, the
+    /// single worker's busy time yields the `(backlog, queue wait)` pair
+    /// the core's admission reads, every request that ran the chain costs
+    /// one service time, and its output is charged the wait plus that
+    /// service time. A dedup replay is charged the current backlog so a
+    /// retransmit never leapfrogs the queue it is in.
+    fn run_hop(&mut self, now: Duration, addr: u64, frames: Vec<Frame>) {
+        let model = self
+            .cfg
+            .overload
+            .as_ref()
+            .filter(|_| addr == self.entry)
+            .cloned();
+        let mut out = HopOutput::default();
+        let p = self.procs.get_mut(&addr).expect("alive processor");
+        let wait = p.busy_until.saturating_sub(now);
+        let backlog = model.as_ref().map_or(0, |m| {
+            (wait.as_nanos() / m.service_time.as_nanos().max(1)) as usize
+        });
+        if model.is_some() {
             self.facts.queue_peak = self.facts.queue_peak.max(backlog as u64);
-            let remaining = msg.deadline.map(|d| d.consume(wait.as_nanos() as u64));
-            if model.policy.drop_expired && remaining.as_ref().is_some_and(|d| d.expired()) {
-                // Counted, never cached: a retransmit gets a fresh
-                // admission decision instead of a replayed corpse.
-                self.facts.expired_drops += 1;
-                self.exec
-                    .log(format!("expired_drop addr={addr} call={}", msg.call_id));
-                return;
-            }
-            let priority = remaining.as_ref().map_or(Priority::Normal, |d| d.priority);
-            if priority < model.policy.admission_floor(backlog) {
-                // Fast-fail before any work: tell the client to back
-                // off. Not cached either — admission is pre-execution.
-                self.facts.sheds += 1;
-                self.exec.log(format!(
-                    "shed addr={addr} call={} prio={}",
-                    msg.call_id, priority as u8
-                ));
-                let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                resp.status = RpcStatus::Shed;
-                resp.src = addr;
-                resp.dst = frame.src;
-                resp.deadline = remaining;
-                let payload = encode_message_to_vec(&resp).expect("shed encodes");
-                self.send_frame(Frame {
-                    src: addr,
-                    dst: frame.src,
-                    payload,
-                });
-                return;
-            }
-            // Admitted: the forwarded hop carries the decremented budget,
-            // and the single worker is busy for one more service time.
-            msg.deadline = remaining;
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            p.busy_until = now.max(p.busy_until) + model.service_time;
-            queue_extra = wait + model.service_time;
         }
-        let mut out: Option<Frame> = None;
-        {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            {
-                if let Some(ctx) = msg.trace {
-                    if ctx.budget {
-                        self.facts.spans.push(SpanFact {
-                            trace_id: ctx.trace_id,
-                            span_id: ctx.span_at(addr),
-                            parent_span: ctx.parent_span,
-                            processor: addr,
-                        });
-                    }
-                    msg.trace = Some(ctx.child_from(addr));
+        p.core
+            .on_batch(frames, backlog, wait.as_nanos() as u64, &mut out);
+        for s in self.telemetry.spans.drain() {
+            self.facts.spans.push(SpanFact {
+                trace_id: s.trace_id,
+                span_id: s.span_id,
+                parent_span: s.parent_span,
+                processor: s.processor,
+            });
+        }
+
+        let mut forwards = out.forwards.into_iter();
+        let mut replays = out.replays.into_iter();
+        let mut sends: Vec<(Frame, Duration)> = Vec::new();
+        let mut resends: Vec<(Frame, Duration)> = Vec::new();
+        for o in out.outcomes {
+            let call = o.call_id;
+            let req = o.dir == MessageKind::Request;
+            let mut extra = Duration::ZERO;
+            if let Some((tag, code)) = o.kind.verdict() {
+                self.facts
+                    .note_verdict(u8::from(!req), addr, call, tag, code as u64);
+                if let (true, Some(m)) = (req, &model) {
+                    let p = self.procs.get_mut(&addr).expect("alive processor");
+                    p.busy_until = now.max(p.busy_until) + m.service_time;
+                    extra = p.busy_until - now;
                 }
-                let verdict = p.chain.process(&mut msg);
-                self.facts.note_verdict(
-                    0,
-                    addr,
-                    msg.call_id,
-                    verdict_tag(&verdict),
-                    verdict_code(&verdict),
-                );
-                match verdict {
-                    Verdict::Forward => {
-                        p.flows.insert(msg.call_id, frame.src);
-                        let oid = match msg.get("object_id") {
-                            Some(Value::U64(v)) => *v,
-                            _ => msg.call_id,
-                        };
-                        let next = match &p.next_req {
-                            NextHop::Fixed(a) => *a,
-                            NextHop::Sharded(v) => v[(mix64(oid) % v.len() as u64) as usize],
-                        };
-                        msg.src = addr;
-                        msg.dst = next;
-                        let payload = encode_message_to_vec(&msg).expect("forward encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: next,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
-                        if addr == self.entry {
-                            self.entry_load += 1;
-                        }
-                        self.exec
-                            .log(format!("fwd addr={addr} call={} dst={next}", msg.call_id));
-                        out = Some(f);
+            }
+            let line = match o.kind {
+                OutcomeKind::Forwarded { .. } if req => {
+                    let mut f = forwards.next().expect("forward frame");
+                    if addr == self.entry {
+                        self.entry_load += 1;
+                        f.dst = self.route(call, f.dst);
                     }
-                    Verdict::Drop => {
-                        p.req_cache.insert(key, CachedAction::Dropped);
-                        self.exec
-                            .log(format!("chain_drop addr={addr} call={}", msg.call_id));
-                    }
-                    Verdict::Abort { code, message } => {
-                        let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                        resp.status = RpcStatus::Aborted { code, message };
-                        resp.src = addr;
-                        resp.dst = frame.src;
-                        let payload = encode_message_to_vec(&resp).expect("abort encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: frame.src,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
-                        self.exec.log(format!(
-                            "abort addr={addr} call={} code={code}",
-                            msg.call_id
-                        ));
-                        out = Some(f);
-                    }
-                    Verdict::Shed => {
-                        // A chain element shed this request. Unlike an
-                        // admission shed the chain partially ran, so the
-                        // verdict is cached and replayed on retransmit.
-                        let mut resp = RpcMessage::response_to(&msg, self.resp_schema.clone());
-                        resp.status = RpcStatus::Shed;
-                        resp.src = addr;
-                        resp.dst = frame.src;
-                        let payload = encode_message_to_vec(&resp).expect("shed encodes");
-                        let f = Frame {
-                            src: addr,
-                            dst: frame.src,
-                            payload,
-                        };
-                        p.req_cache.insert(key, CachedAction::Sent(f.clone()));
+                    let line = format!("fwd addr={addr} call={call} dst={}", f.dst);
+                    sends.push((f, extra));
+                    line
+                }
+                OutcomeKind::Aborted { code, .. } if req => {
+                    sends.push((forwards.next().expect("abort frame"), extra));
+                    format!("abort addr={addr} call={call} code={code}")
+                }
+                OutcomeKind::ChainShed { .. } if req => {
+                    self.facts.sheds += 1;
+                    sends.push((forwards.next().expect("shed frame"), extra));
+                    format!("chain_shed addr={addr} call={call}")
+                }
+                // A response-path abort or shed rewrites the status and
+                // still travels home.
+                OutcomeKind::Forwarded { dst }
+                | OutcomeKind::Aborted { dst, .. }
+                | OutcomeKind::ChainShed { dst } => {
+                    if matches!(o.kind, OutcomeKind::ChainShed { .. }) {
                         self.facts.sheds += 1;
-                        self.exec
-                            .log(format!("chain_shed addr={addr} call={}", msg.call_id));
-                        out = Some(f);
+                    }
+                    sends.push((forwards.next().expect("response frame"), extra));
+                    format!("resp_fwd addr={addr} call={call} dst={dst}")
+                }
+                OutcomeKind::Dropped if req => format!("chain_drop addr={addr} call={call}"),
+                OutcomeKind::Dropped => format!("resp_drop addr={addr} call={call}"),
+                OutcomeKind::AdmissionShed { priority } => {
+                    self.facts.sheds += 1;
+                    resends.push((replays.next().expect("shed reply"), extra));
+                    format!("shed addr={addr} call={call} prio={}", priority as u8)
+                }
+                OutcomeKind::Expired => {
+                    self.facts.expired_drops += 1;
+                    format!("expired_drop addr={addr} call={call}")
+                }
+                OutcomeKind::DedupReplay => {
+                    self.facts.dedup_hits += 1;
+                    let mut f = replays.next().expect("replay frame");
+                    if req && addr == self.entry {
+                        if let Some(dst) = self.routes.get(&call) {
+                            f.dst = *dst;
+                        }
+                        if model.is_some() {
+                            extra = self.procs[&addr].busy_until.saturating_sub(now);
+                        }
+                    }
+                    resends.push((f, extra));
+                    if req {
+                        format!("dedup_replay addr={addr} call={call}")
+                    } else {
+                        format!("resp_dedup addr={addr} call={call}")
                     }
                 }
-            }
+                OutcomeKind::DedupDrop => {
+                    self.facts.dedup_hits += 1;
+                    if req {
+                        format!("dedup_drop addr={addr} call={call}")
+                    } else {
+                        format!("resp_dedup_drop addr={addr} call={call}")
+                    }
+                }
+                OutcomeKind::Stale => format!("stale_resp addr={addr} call={call}"),
+                OutcomeKind::DecodeError => format!("proc_decode_error addr={addr} call={call}"),
+                OutcomeKind::Deferred => format!("batch_defer addr={addr} call={call}"),
+            };
+            self.exec.log(line);
         }
-        if let Some(f) = out {
-            self.send_frame_extra(f, queue_extra);
+        for (f, extra) in sends.into_iter().chain(resends) {
+            self.send_frame_extra(f, extra);
         }
     }
 
-    fn proc_response(&mut self, frame: Frame, mut msg: RpcMessage) {
-        let addr = frame.dst;
-        let mut out: Option<Frame> = None;
-        {
-            let p = self.procs.get_mut(&addr).expect("alive processor");
-            let call_id = msg.call_id;
-            if let Some(cached) = p.resp_cache.get(&call_id) {
-                self.facts.dedup_hits += 1;
-                match cached {
-                    CachedAction::Sent(f) => {
-                        out = Some(f.clone());
-                        self.exec
-                            .log(format!("resp_dedup addr={addr} call={call_id}"));
-                    }
-                    CachedAction::Dropped => {
-                        self.exec
-                            .log(format!("resp_dedup_drop addr={addr} call={call_id}"));
-                    }
-                }
-            } else {
-                // The chain sees responses too (paper-eval elements only
-                // match `on request`, so this is Forward for them — but
-                // response-matching elements keep their real semantics).
-                let verdict = p.chain.process(&mut msg);
-                self.facts.note_verdict(
-                    1,
-                    addr,
-                    call_id,
-                    verdict_tag(&verdict),
-                    verdict_code(&verdict),
-                );
-                if let Verdict::Drop = verdict {
-                    p.resp_cache.insert(call_id, CachedAction::Dropped);
-                    self.exec
-                        .log(format!("resp_drop addr={addr} call={call_id}"));
-                } else {
-                    match verdict {
-                        Verdict::Abort { code, message } => {
-                            msg.status = RpcStatus::Aborted { code, message };
-                        }
-                        // A response-path shed rewrites status in place,
-                        // exactly like the real serve loop.
-                        Verdict::Shed => msg.status = RpcStatus::Shed,
-                        _ => {}
-                    }
-                    match p.flows.remove(&call_id) {
-                        Some(orig) => {
-                            msg.src = addr;
-                            msg.dst = orig;
-                            let payload = encode_message_to_vec(&msg).expect("response encodes");
-                            let f = Frame {
-                                src: addr,
-                                dst: orig,
-                                payload,
-                            };
-                            p.resp_cache.insert(call_id, CachedAction::Sent(f.clone()));
-                            self.exec
-                                .log(format!("resp_fwd addr={addr} call={call_id} dst={orig}"));
-                            out = Some(f);
-                        }
-                        None => {
-                            p.resp_cache.insert(call_id, CachedAction::Dropped);
-                            self.exec
-                                .log(format!("stale_resp addr={addr} call={call_id}"));
-                        }
-                    }
-                }
-            }
+    /// Where the entry sends a fresh request forward. After scale-out the
+    /// entry is an empty-chain router: it spreads requests over the shards
+    /// by `mix64(object_id)` and remembers the pick so a replay of the
+    /// forward follows it.
+    fn route(&mut self, call_id: u64, dst: u64) -> u64 {
+        if self.shards.is_empty() {
+            return dst;
         }
-        if let Some(f) = out {
-            self.send_frame(f);
-        }
+        let oid = self
+            .client
+            .calls
+            .get(&call_id)
+            .map_or(call_id, |c| c.object_id);
+        let shard = self.shards[(mix64(oid) % self.shards.len() as u64) as usize];
+        self.routes.insert(call_id, shard);
+        shard
     }
 
     // ---- server --------------------------------------------------------
@@ -1548,7 +1396,7 @@ impl<'a> Sim<'a> {
                 if !p.alive {
                     continue;
                 }
-                p.chain.export_states()
+                p.core.export_states()
             };
             self.exec
                 .log(format!("checkpoint addr={addr} engines={}", images.len()));
@@ -1560,31 +1408,16 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Replaces a dead processor with a fresh one at the same address,
+    /// restoring element state from the last checkpoint. Flows and dedup
+    /// caches die with the old instance, as they do in production.
     fn failover(&mut self, now: Duration, addr: u64, age: Duration) {
-        let (elements, images) = {
-            let p = &self.procs[&addr];
-            (
-                p.elements.clone(),
-                self.ctl.checkpoints.get(&addr).cloned().unwrap_or_default(),
-            )
-        };
-        let mut chain = build_chain(
-            &elements,
-            &self.req_schema,
-            &self.resp_schema,
-            self.compile_seed,
-            self.cfg.jit,
-        );
-        if !images.is_empty() {
-            // Best effort, like the real controller: a stale checkpoint
-            // shape (post-reconfig) falls back to fresh state.
-            let _ = chain.import_states(&images);
-        }
+        let p = &self.procs[&addr];
+        let images = self.ctl.checkpoints.get(&addr).map_or(&[][..], |i| &i[..]);
+        let chain = self.build_chain(&p.elements, images);
+        let core = self.new_core(addr, chain, p.next);
         let p = self.procs.get_mut(&addr).expect("present");
-        p.chain = chain;
-        p.flows.clear();
-        p.req_cache = DedupWindow::new(DEDUP_CAP);
-        p.resp_cache = DedupWindow::new(DEDUP_CAP);
+        p.core = core;
         p.alive = true;
         p.last_beat = now;
         self.ctl.failed_over.insert(addr, now);
@@ -1595,56 +1428,19 @@ impl<'a> Sim<'a> {
 
     fn scale_out(&mut self, now: Duration) {
         let new_addr = SHARD_BASE + self.shards.len() as u64;
+        let mut images = Vec::new();
         if self.shards.is_empty() {
             // First scale-out: the entry's elements move to shard 0 (with
             // exported state) and the entry becomes a pure router.
-            let (elements, downstream, images) = {
-                let p = self.procs.get_mut(&self.entry).expect("entry");
-                let downstream = match &p.next_req {
-                    NextHop::Fixed(a) => *a,
-                    NextHop::Sharded(_) => unreachable!("entry is not yet a router"),
-                };
-                let images = p.chain.export_states();
-                let elements = std::mem::take(&mut p.elements);
-                p.chain = EngineChain::new();
-                (elements, downstream, images)
-            };
-            let mut chain = build_chain(
-                &elements,
-                &self.req_schema,
-                &self.resp_schema,
-                self.compile_seed,
-                self.cfg.jit,
-            );
-            let _ = chain.import_states(&images);
-            let shard = SimProcessor::new(
-                new_addr,
-                chain,
-                elements.clone(),
-                NextHop::Fixed(downstream),
-            );
-            self.procs.insert(new_addr, shard);
-            self.shard_elements = elements;
-            self.shard_downstream = downstream;
-        } else {
-            let chain = build_chain(
-                &self.shard_elements,
-                &self.req_schema,
-                &self.resp_schema,
-                self.compile_seed,
-                self.cfg.jit,
-            );
-            let shard = SimProcessor::new(
-                new_addr,
-                chain,
-                self.shard_elements.clone(),
-                NextHop::Fixed(self.shard_downstream),
-            );
-            self.procs.insert(new_addr, shard);
+            let p = self.procs.get_mut(&self.entry).expect("entry");
+            images = p.core.install_chain(EngineChain::new());
+            self.shard_elements = std::mem::take(&mut p.elements);
+            self.shard_downstream = p.next;
         }
+        let chain = self.build_chain(&self.shard_elements, &images);
+        let elements = self.shard_elements.clone();
+        self.spawn_proc(new_addr, chain, elements, self.shard_downstream);
         self.shards.push(new_addr);
-        let p = self.procs.get_mut(&self.entry).expect("entry");
-        p.next_req = NextHop::Sharded(self.shards.clone());
         self.ctl.last_scaleout = Some(now);
         self.facts.scaleouts.push(now);
         self.exec.log(format!(
@@ -1665,24 +1461,15 @@ impl<'a> Sim<'a> {
     /// flows and dedup caches ride along, exactly like the real
     /// `migrate_processor` (same address, no frame loss).
     fn migrate(&mut self, _now: Duration, addr: u64) {
-        let (elements, images, alive) = {
-            let Some(p) = self.procs.get(&addr) else {
-                return;
-            };
-            (p.elements.clone(), p.chain.export_states(), p.alive)
+        let Some(p) = self.procs.get(&addr) else {
+            return;
         };
-        if !alive {
+        if !p.alive {
             return;
         }
-        let mut chain = build_chain(
-            &elements,
-            &self.req_schema,
-            &self.resp_schema,
-            self.compile_seed,
-            self.cfg.jit,
-        );
-        let _ = chain.import_states(&images);
-        self.procs.get_mut(&addr).expect("present").chain = chain;
+        let chain = self.build_chain(&p.elements, &p.core.export_states());
+        let p = self.procs.get_mut(&addr).expect("present");
+        p.core.install_chain(chain);
         self.facts.migrations += 1;
         self.exec.log(format!("migrate addr={addr}"));
     }
