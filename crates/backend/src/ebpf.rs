@@ -20,7 +20,7 @@
 //! ([`crate::isa::BpfInsn`]) for each direction. `adn_verifier::absint`
 //! proves that stream at placement and again at deploy, and
 //! [`crate::isa::execute_encoded`] runs it — what is verified is what runs.
-//! The pseudo-instructions ([`Insn`]) are crate-private assembler input.
+//! The pseudo-instructions (`Insn`) are crate-private assembler input.
 //!
 //! `random() < p` predicates (fault injection) compile by scaling `p` into
 //! a 64-bit threshold compared against a uniform `u64`, the standard trick

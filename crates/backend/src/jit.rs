@@ -9,7 +9,7 @@
 //! * **Lowering**: each statement list becomes one [`Program`]. Numeric and
 //!   boolean work (conditions, fault-injection draws, arithmetic, casts)
 //!   lowers to inline ops; everything touching boxed values or state tables
-//!   escapes through a [`ThunkSpec`] that calls straight back into the
+//!   escapes through a `ThunkSpec` that calls straight back into the
 //!   *same* interpreter functions (`exec`, `exec_pred`, `exec_stmt`,
 //!   `exec_select`) the tree-walker uses — the two tiers cannot diverge on
 //!   escaped constructs by construction.

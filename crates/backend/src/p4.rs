@@ -50,7 +50,7 @@ pub struct Stage {
     pub name: String,
     /// Field index matched (None = unconditional default action).
     pub match_field: Option<usize>,
-    /// Index into [`P4Pipeline::tables`] supplying this stage's entries,
+    /// Index into [`P4Tables::tables`] supplying this stage's entries,
     /// when the stage matches against a (controller-updatable) table.
     /// Stages compiled from inline constants use `None` and carry their
     /// entries in `static_entries`.

@@ -67,7 +67,6 @@ fn bench(c: &mut Criterion) {
                 clock: None,
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: Default::default(),
-                inbox_capacity: None,
             },
             link.clone(),
             frames,

@@ -493,7 +493,7 @@ fn scale_out_point(shards: usize, payload: &[u8], window: Duration) -> (f64, f64
     use adn_backend::jit::compile_engine;
     use adn_backend::native::{element_seed, CompileOpts};
     use adn_dataplane::processor::{spawn_processor, NextHop, ProcessorConfig, DEFAULT_BATCH_MAX};
-    use adn_dataplane::scaleout::{spawn_sharded, ShardBy, ShardedConfig};
+    use adn_dataplane::scaleout::{spawn_sharded, ShardedConfig};
     use adn_rpc::engine::EngineChain;
     use adn_rpc::runtime::{spawn_server, RpcClient, ServerConfig};
     use adn_rpc::transport::{InProcNetwork, Link};
@@ -555,7 +555,6 @@ fn scale_out_point(shards: usize, payload: &[u8], window: Duration) -> (f64, f64
                 clock: None,
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: Default::default(),
-                inbox_capacity: None,
             },
             link.clone(),
             frames,
@@ -568,7 +567,7 @@ fn scale_out_point(shards: usize, payload: &[u8], window: Duration) -> (f64, f64
             addr: 500,
             instances: instance_addrs,
             service: service.clone(),
-            shard_by: ShardBy::RequestField(1), // username
+            shard_field: 1, // username
             inherited_flows: Default::default(),
         },
         link.clone(),
@@ -907,7 +906,6 @@ fn reconfig() {
             clock: None,
             batch_max: DEFAULT_BATCH_MAX,
             overload: Default::default(),
-            inbox_capacity: None,
         },
         link.clone(),
         frames,
@@ -969,7 +967,7 @@ fn reconfig() {
 
     let t1 = Instant::now();
     let group = scale_out(
-        processor,
+        &processor,
         std::slice::from_ref(&element),
         1, // shard by username
         3,
@@ -983,6 +981,7 @@ fn reconfig() {
         None,
     )
     .expect("scale out");
+    processor.stop();
     let scale_out_ms = t1.elapsed().as_secs_f64() * 1e3;
     std::thread::sleep(Duration::from_millis(150));
 

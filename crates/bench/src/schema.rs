@@ -1,7 +1,7 @@
 //! Structural schema validation for the evaluation artifacts.
 //!
 //! One validator shared by the bench bins, the eval-matrix, and CI: the
-//! `BENCH_*.json` family (`load_scale`, `overload`, `jit`), the
+//! `BENCH_*.json` family (`overload`, `jit`), the
 //! `MATRIX.json` produced by `eval-matrix`, and the `--json` report of
 //! `simseed sweep`. CI's python heredocs additionally assert the *policy*
 //! claims (goodput floors, speedups); this module pins the *shape* — the
@@ -17,8 +17,6 @@ use serde_json::Value;
 /// The artifact families this crate knows how to check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// `BENCH_scale.json` from the `load_scale` bin.
-    LoadScale,
     /// `BENCH_overload.json` from the `overload` bin.
     Overload,
     /// `BENCH_jit*.json` from the `jit_bench` bin.
@@ -33,7 +31,6 @@ impl ArtifactKind {
     /// Human-readable artifact name.
     pub fn name(self) -> &'static str {
         match self {
-            ArtifactKind::LoadScale => "load_scale",
             ArtifactKind::Overload => "overload",
             ArtifactKind::Jit => "jit",
             ArtifactKind::Matrix => "eval-matrix",
@@ -52,7 +49,6 @@ impl ArtifactKind {
         }
         if let Some(bench) = doc.get("bench").and_then(Value::as_str) {
             return match bench {
-                "load_scale" => Ok(ArtifactKind::LoadScale),
                 "overload" => Ok(ArtifactKind::Overload),
                 "jit" => Ok(ArtifactKind::Jit),
                 other => Err(format!("unknown bench {other:?}")),
@@ -321,19 +317,6 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
     let e = &mut errors;
     check_version(doc, e);
     let (top, row_keys): (&[&str], &[&str]) = match kind {
-        ArtifactKind::LoadScale => (
-            &["seed", "rows", "summary"],
-            &[
-                "group",
-                "shards",
-                "batch",
-                "service_us",
-                "offered",
-                "completed",
-                "elapsed_ms",
-                "msgs_per_sec",
-            ],
-        ),
         ArtifactKind::Overload => (
             &[
                 "seed",
@@ -384,19 +367,8 @@ pub fn validate_bench(doc: &Value, kind: ArtifactKind) -> Vec<String> {
             for (i, row) in rows.iter().enumerate() {
                 check_keys(row, row_keys, &format!("rows[{i}]"), e);
             }
-            // The shape invariants the claims rest on, independent of the
+            // The shape invariant the claims rest on, independent of the
             // policy thresholds CI asserts separately.
-            if kind == ArtifactKind::LoadScale {
-                for (i, row) in rows.iter().enumerate() {
-                    let offered = row.get("offered").and_then(Value::as_u64);
-                    let completed = row.get("completed").and_then(Value::as_u64);
-                    if offered.is_some() && offered != completed {
-                        e.push(format!(
-                            "rows[{i}]: completed {completed:?} != offered {offered:?}"
-                        ));
-                    }
-                }
-            }
             if kind == ArtifactKind::Jit {
                 for (i, row) in rows.iter().enumerate() {
                     if let Some(mode) = row.get("mode").and_then(Value::as_str) {
@@ -478,44 +450,82 @@ mod tests {
 
     #[test]
     fn bench_documents_validate_by_shape() {
-        let good = serde_json::json!({
-            "bench": "load_scale",
+        let overload = serde_json::json!({
+            "bench": "overload",
             "schema_version": 1,
-            "seed": 7,
+            "seed": 7, "calls": 600, "service_us": 1000, "budget_ms": 50, "smoke": true,
             "rows": (vec![serde_json::json!({
-                "group": "app",
-                "shards": 2,
-                "batch": 4,
-                "service_us": 100,
-                "offered": 512,
-                "completed": 512,
-                "elapsed_ms": 10.0,
-                "msgs_per_sec": 51200.0
+                "multiplier": 2.0,
+                "shedding": true,
+                "calls_issued": 600,
+                "calls_ok": 400,
+                "calls_shed": 200,
+                "calls_timed_out": 0,
+                "calls_aborted": 0,
+                "expired_drops": 0,
+                "expired_executions": 0,
+                "queue_peak": 12,
+                "servable": 300,
+                "goodput_ratio": 1.0
             })]),
-            "summary": {"v0005_clean": true}
+            "summary": {}
         });
-        assert_eq!(validate(&good), Ok(ArtifactKind::LoadScale));
+        assert_eq!(validate(&overload), Ok(ArtifactKind::Overload));
 
-        // Dropped calls violate the closed-loop shape invariant.
-        let mut bad = good.clone();
+        // A row missing a required field.
+        let mut bad = overload.clone();
         if let Value::Object(map) = &mut bad {
             if let Some(Value::Array(rows)) = map.get_mut("rows") {
                 if let Value::Object(row) = &mut rows[0] {
-                    row.insert("completed".to_string(), Value::from(500u64));
+                    row.remove("goodput_ratio");
                 }
             }
         }
         let errors = validate(&bad).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("completed")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("goodput_ratio")),
+            "{errors:?}"
+        );
 
-        // Missing rows entirely.
-        let empty = serde_json::json!({
+        let jit = serde_json::json!({
             "bench": "jit",
             "schema_version": 1,
             "seed": 7, "smoke": true, "chain": "x", "best_tier": "native",
-            "rows": [],
+            "rows": (vec![serde_json::json!({
+                "tier": "native",
+                "mode": "fused",
+                "iters": 1000,
+                "elapsed_ms": 1.0,
+                "ns_per_msg": 100.0,
+                "msgs_per_sec": 1.0e7,
+                "forwarded": 1000,
+                "dropped": 0,
+                "aborted": 0
+            })]),
             "summary": {}
         });
+        assert_eq!(validate(&jit), Ok(ArtifactKind::Jit));
+
+        // An unknown execution mode violates the jit shape invariant.
+        let mut bad = jit.clone();
+        if let Value::Object(map) = &mut bad {
+            if let Some(Value::Array(rows)) = map.get_mut("rows") {
+                if let Value::Object(row) = &mut rows[0] {
+                    row.insert("mode".to_string(), Value::from("batch"));
+                }
+            }
+        }
+        let errors = validate(&bad).unwrap_err();
+        assert!(
+            errors.iter().any(|e| e.contains("unknown mode")),
+            "{errors:?}"
+        );
+
+        // Missing rows entirely.
+        let mut empty = jit;
+        if let Value::Object(map) = &mut empty {
+            map.insert("rows".to_string(), Value::Array(Vec::new()));
+        }
         let errors = validate(&empty).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("rows")), "{errors:?}");
     }

@@ -281,7 +281,6 @@ pub fn deploy(
                 clock: clock.clone(),
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: Default::default(),
-                inbox_capacity: None,
             },
             link.clone(),
             frames,

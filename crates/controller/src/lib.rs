@@ -13,7 +13,7 @@
 //!   under trust/co-location constraints and per-platform feasibility.
 //!   The four configurations of the paper's Figure 2 fall out of this
 //!   solver as the environment changes.
-//! * [`deploy`] — materializes a placement: fuses same-site runs of
+//! * [`deploy`](mod@deploy) — materializes a placement: fuses same-site runs of
 //!   elements, spawns processors, wires hop-by-hop forwarding, returns the
 //!   chains to install into the client/server RPC libraries.
 //! * [`reconfig`] — live operations: lossless processor migration

@@ -26,7 +26,7 @@ use adn_backend::state::StateTable;
 use adn_dataplane::processor::{
     spawn_processor, NextHop, ProcessorConfig, ProcessorHandle, DEFAULT_BATCH_MAX,
 };
-use adn_dataplane::scaleout::{spawn_sharded, ShardBy, ShardedConfig, ShardedHandle};
+use adn_dataplane::scaleout::{spawn_sharded, ShardedConfig, ShardedHandle};
 use adn_ir::element::{ElementIr, IrStmt, JoinStrategy};
 use adn_rpc::engine::EngineChain;
 use adn_rpc::schema::ServiceSchema;
@@ -96,7 +96,6 @@ pub fn migrate_processor(
             clock: Some(old.clock()),
             batch_max: DEFAULT_BATCH_MAX,
             overload: Default::default(),
-            inbox_capacity: None,
         },
         link,
         frames,
@@ -276,34 +275,19 @@ pub struct ScaledGroup {
     pub instances: Vec<ProcessorHandle>,
 }
 
-/// Scales a single-processor group out to `shards` instances behind a shard
-/// router that takes over the group's address (clients are untouched).
-/// `elements` are the IR elements the old processor hosted (one engine
-/// each, in order); `shard_field` is the request-schema field index the
-/// router hashes. `telemetry` is cloned into each instance so the scaled
-/// group keeps reporting element metrics.
-#[allow(clippy::too_many_arguments)]
-pub fn scale_out(
-    old: ProcessorHandle,
+/// Builds each shard's chain with its partition of `old`'s state imported.
+/// `old` must be paused.
+fn shard_chains(
+    old: &ProcessorHandle,
     elements: &[ElementIr],
     shard_field: usize,
     shards: usize,
     seed: u64,
     replicas: &[EndpointAddr],
-    net: &InProcNetwork,
-    link: Arc<dyn Link>,
-    service: Arc<ServiceSchema>,
-    request_next: NextHop,
-    alloc: &AddrAllocator,
-    telemetry: Option<HopTelemetry>,
-) -> Result<ScaledGroup, ReconfigError> {
-    let addr = old.addr();
-    // Pause + snapshot (element state and in-flight NAT flows).
-    old.pause();
+) -> Result<Vec<EngineChain>, ReconfigError> {
     let images = old
         .export_state()
-        .map_err(|e| err(format!("snapshot of {addr:#x}: {e}")))?;
-    let inherited_flows = old.export_flows();
+        .map_err(|e| err(format!("snapshot of {:#x}: {e}", old.addr())))?;
     if images.len() != elements.len() {
         return Err(err("engine/image arity mismatch"));
     }
@@ -317,9 +301,7 @@ pub fn scale_out(
         }
     }
 
-    // Spawn instances with their shard of the state.
-    let mut instances = Vec::with_capacity(shards);
-    let mut instance_addrs = Vec::with_capacity(shards);
+    let mut chains = Vec::with_capacity(shards);
     for (s, images) in shard_images.into_iter().enumerate() {
         let mut chain = EngineChain::new();
         for (i, element) in elements.iter().enumerate() {
@@ -336,6 +318,51 @@ pub fn scale_out(
         chain
             .import_states(&images)
             .map_err(|e| err(format!("shard {s} import: {e}")))?;
+        chains.push(chain);
+    }
+    Ok(chains)
+}
+
+/// Scales a single-processor group out to `shards` instances behind a shard
+/// router that takes over the group's address (clients are untouched).
+/// `elements` are the IR elements the old processor hosted (one engine
+/// each, in order); `shard_field` is the request-schema field index the
+/// router hashes. `telemetry` is cloned into each instance so the scaled
+/// group keeps reporting element metrics.
+///
+/// Every fallible step (snapshot, partition, import) runs before the router
+/// takes the address. On error `old` is resumed and keeps serving. On
+/// success `old` has been drained into the router and the caller stops it.
+#[allow(clippy::too_many_arguments)]
+pub fn scale_out(
+    old: &ProcessorHandle,
+    elements: &[ElementIr],
+    shard_field: usize,
+    shards: usize,
+    seed: u64,
+    replicas: &[EndpointAddr],
+    net: &InProcNetwork,
+    link: Arc<dyn Link>,
+    service: Arc<ServiceSchema>,
+    request_next: NextHop,
+    alloc: &AddrAllocator,
+    telemetry: Option<HopTelemetry>,
+) -> Result<ScaledGroup, ReconfigError> {
+    let addr = old.addr();
+    old.pause();
+    let chains = match shard_chains(old, elements, shard_field, shards, seed, replicas) {
+        Ok(chains) => chains,
+        Err(e) => {
+            old.resume();
+            return Err(e);
+        }
+    };
+    let inherited_flows = old.export_flows();
+
+    // Spawn instances with their shard of the state.
+    let mut instances = Vec::with_capacity(shards);
+    let mut instance_addrs = Vec::with_capacity(shards);
+    for chain in chains {
         let instance_addr = alloc.alloc();
         let frames = net.attach(instance_addr);
         instances.push(spawn_processor(
@@ -350,7 +377,6 @@ pub fn scale_out(
                 clock: Some(old.clock()),
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: Default::default(),
-                inbox_capacity: None,
             },
             link.clone(),
             frames,
@@ -365,15 +391,17 @@ pub fn scale_out(
             addr,
             instances: instance_addrs,
             service,
-            shard_by: ShardBy::RequestField(shard_field),
+            shard_field,
             inherited_flows,
         },
         link,
         router_frames,
     );
-    old.drain()
-        .map_err(|e| err(format!("drain of {addr:#x}: {e}")))?;
-    old.stop();
+    // The router owns the address now, so the group serves through it
+    // whatever the drain reports. A drain can only fail if `old` died after
+    // its snapshot; its queued frames are then lost either way, and the
+    // senders' retries recover them.
+    let _ = old.drain();
 
     Ok(ScaledGroup { router, instances })
 }
@@ -467,7 +495,6 @@ pub fn scale_in(
             clock: group.instances.first().map(|i| i.clock()),
             batch_max: DEFAULT_BATCH_MAX,
             overload: Default::default(),
-            inbox_capacity: None,
         },
         link,
         frames,
@@ -618,7 +645,6 @@ mod tests {
                 clock: None,
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: Default::default(),
-                inbox_capacity: None,
             },
             h.link.clone(),
             frames,
@@ -696,7 +722,7 @@ mod tests {
 
         // Scale out to 3 shards on the username field (index 1).
         let group = scale_out(
-            old,
+            &old,
             std::slice::from_ref(&element),
             1,
             3,
@@ -710,6 +736,7 @@ mod tests {
             None,
         )
         .unwrap();
+        old.stop();
 
         for (i, user) in users.iter().cycle().take(30).enumerate() {
             call(&h, 100 + i as u64, user).unwrap();
@@ -742,6 +769,38 @@ mod tests {
             assert_eq!(row[1], Value::U64(11), "count for {user}");
         }
         merged.stop();
+    }
+
+    #[test]
+    fn failed_scale_out_leaves_the_old_processor_serving() {
+        let h = harness();
+        h.client.set_via(Some(50));
+        let element = lower(COUNTER);
+        let old = spawn_counter_processor(&h, 50, &element);
+        call(&h, 0, "alice").unwrap();
+
+        // Two elements for a one-engine processor: the image arity check
+        // fails after the old processor was paused and snapshotted.
+        let result = scale_out(
+            &old,
+            &[element.clone(), element.clone()],
+            1,
+            2,
+            9,
+            &[],
+            &h.net,
+            h.link.clone(),
+            h.svc.clone(),
+            NextHop::Fixed(200),
+            &AddrAllocator::new(5000),
+            None,
+        );
+        assert!(result.is_err());
+
+        for i in 1..5 {
+            call(&h, i, "alice").unwrap_or_else(|e| panic!("call {i} after failed scale-out: {e}"));
+        }
+        old.stop();
     }
 
     #[test]

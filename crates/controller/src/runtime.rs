@@ -1,7 +1,7 @@
 //! The event-driven runtime controller.
 //!
 //! Paper §6: "The ADN controller watches for changes to this resource
-//! [ADNConfig] or to the deployment (e.g., a new service replica). It
+//! \[ADNConfig\] or to the deployment (e.g., a new service replica). It
 //! updates the data plane processors when either changes."
 //!
 //! [`Controller`] subscribes to the cluster store; each event drives a
@@ -30,6 +30,7 @@ use adn_rpc::transport::{EndpointAddr, InProcNetwork, Link};
 use adn_telemetry::{
     ClusterView, HopTelemetry, LoadAwarePolicy, ProcessorObservation, Registry, Sampler, SpanRing,
 };
+use adn_verifier::{codes, verify_chain, ChainVerifyOptions};
 
 use crate::compile::{compile_app, CompiledApp};
 use crate::deploy::{build_engine, deploy, AddrAllocator, Deployment};
@@ -298,15 +299,54 @@ impl Controller {
             registry: self.registry.clone(),
             spans: self.spans.clone(),
             sampler: self.sampler(app),
-            metrics_processor: None,
         }
     }
 
-    /// Enables scale-out-on-breach for the app.
-    pub fn enable_autoscale(&self, app: &str, config: AutoscaleConfig) {
-        if let Some(managed) = self.apps.lock().get_mut(app) {
-            managed.autoscale = Some(config);
+    /// Enables scale-out-on-breach for the app. Call after its config is
+    /// applied: the compiled chain must be shard-safe on
+    /// `config.shard_field`. Refused when the field is out of range for
+    /// some method's request schema (the router would index past the
+    /// decoded fields), or when the verifier's partitionability lint
+    /// (`V0005`) finds mutated state not keyed by that field (each
+    /// instance would hold a diverging replica of it).
+    pub fn enable_autoscale(
+        &self,
+        app: &str,
+        config: AutoscaleConfig,
+    ) -> Result<(), ControllerError> {
+        let mut apps = self.apps.lock();
+        let managed = apps
+            .get_mut(app)
+            .ok_or_else(|| cerr(format!("app {app} not registered")))?;
+        let field = config.shard_field;
+        for method in managed.registration.service.methods() {
+            if field >= method.request.len() {
+                return Err(cerr(format!(
+                    "shard field {field} is out of range for method {}'s request schema ({} fields)",
+                    method.name,
+                    method.request.len()
+                )));
+            }
         }
+        let compiled = managed
+            .compiled
+            .as_ref()
+            .ok_or_else(|| cerr(format!("app {app} has no compiled chain to check")))?;
+        let opts = ChainVerifyOptions {
+            shard_field: Some(field),
+            ..Default::default()
+        };
+        if let Some(finding) = verify_chain(&compiled.chain, &opts)
+            .into_iter()
+            .find(|d| d.diagnostic.code == codes::NON_PARTITIONABLE)
+        {
+            return Err(cerr(format!(
+                "chain is not shard-safe on field {field}: {}",
+                finding.diagnostic.message
+            )));
+        }
+        managed.autoscale = Some(config);
+        Ok(())
     }
 
     /// Scale-outs the autoscaler has performed for the app.
@@ -606,10 +646,11 @@ impl Controller {
     /// Checks the breached endpoint against its owning app's autoscale
     /// policy and, at most once per cooldown, shards the group out.
     ///
-    /// Exactly-once per breach episode: the group's handle is `take()`n
-    /// into [`scale_out`], so a second breach report finds no handle (the
-    /// scaled group no longer heartbeats through `report_loads`) and the
-    /// `scaled` slot plus cooldown guard refuse re-entry regardless.
+    /// Exactly-once per breach episode: the whole check-and-scale runs
+    /// under the apps lock, and a successful scale-out fills the `scaled`
+    /// slot, which (with the cooldown) refuses re-entry. Only then is the
+    /// group's old handle taken and stopped; a failed [`scale_out`] has
+    /// already resumed it, so the group keeps serving under its handle.
     fn maybe_autoscale(&self, endpoint: EndpointAddr) -> Result<(), ControllerError> {
         // Find the app that autoscales this endpoint (locks: apps only).
         let app = {
@@ -668,7 +709,7 @@ impl Controller {
         else {
             return Ok(());
         };
-        let Some(old) = group.handle.take() else {
+        let Some(old) = group.handle.as_ref() else {
             return Ok(());
         };
         let (start, end) = group.range;
@@ -688,6 +729,9 @@ impl Controller {
             Some(telemetry),
         )
         .map_err(cerr)?;
+        if let Some(old) = group.handle.take() {
+            old.stop();
+        }
         // New shard instances spawn permissive; inherit the app's policy.
         if managed.overload != OverloadPolicy::default() {
             for instance in &scaled.instances {
@@ -919,7 +963,6 @@ impl Controller {
                     // Failover replacements keep the app's overload policy:
                     // a crash must not silently disable admission control.
                     overload,
-                    inbox_capacity: None,
                 },
                 self.link.clone(),
                 frames,
@@ -1336,18 +1379,20 @@ mod tests {
         let entry = w.controller.processor_stats("shop")[0].0;
 
         let cooldown = Duration::from_secs(5);
-        w.controller.enable_autoscale(
-            "shop",
-            AutoscaleConfig {
-                policy: LoadAwarePolicy {
-                    queue_depth_threshold: 2,
-                    cooldown,
-                    ..LoadAwarePolicy::default()
+        w.controller
+            .enable_autoscale(
+                "shop",
+                AutoscaleConfig {
+                    policy: LoadAwarePolicy {
+                        queue_depth_threshold: 2,
+                        cooldown,
+                        ..LoadAwarePolicy::default()
+                    },
+                    shard_field: 1, // username
+                    shards: 2,
                 },
-                shard_field: 1, // username
-                shards: 2,
-            },
-        );
+            )
+            .unwrap();
         // Seed the cooldown anchor at virtual-now, as if a scale-out had
         // just happened (the state a scale-in hands back): the guard — and
         // only the guard — must refuse the next breach.
@@ -1383,21 +1428,23 @@ mod tests {
         assert!(call(&w, 1, "alice").is_ok());
         let entry = w.controller.processor_stats("shop")[0].0;
 
-        w.controller.enable_autoscale(
-            "shop",
-            AutoscaleConfig {
-                policy: LoadAwarePolicy {
-                    // Queue depth and p99 can never trip here; only the
-                    // shed rate can.
-                    queue_depth_threshold: u64::MAX,
-                    p99_threshold_ns: u64::MAX,
-                    shed_rate_threshold: 5,
-                    cooldown: Duration::from_millis(1),
+        w.controller
+            .enable_autoscale(
+                "shop",
+                AutoscaleConfig {
+                    policy: LoadAwarePolicy {
+                        // Queue depth and p99 can never trip here; only the
+                        // shed rate can.
+                        queue_depth_threshold: u64::MAX,
+                        p99_threshold_ns: u64::MAX,
+                        shed_rate_threshold: 5,
+                        cooldown: Duration::from_millis(1),
+                    },
+                    shard_field: 1, // username
+                    shards: 2,
                 },
-                shard_field: 1, // username
-                shards: 2,
-            },
-        );
+            )
+            .unwrap();
 
         // First report seeds the window; a single observation has no rate.
         w.store.report_load(adn_cluster::LoadReport {
@@ -1417,6 +1464,52 @@ mod tests {
         w.controller.run_pending(&w.events).unwrap();
         assert_eq!(w.controller.scaleout_count("shop"), 1, "shed rate breach");
         assert!(call(&w, 2, "alice").is_ok(), "service survives scale-out");
+    }
+
+    fn autoscale_on(shard_field: usize) -> AutoscaleConfig {
+        AutoscaleConfig {
+            policy: LoadAwarePolicy::default(),
+            shard_field,
+            shards: 2,
+        }
+    }
+
+    /// The shard router indexes the decoded request fields by the shard
+    /// field; a field past the end of a request schema is refused.
+    #[test]
+    fn autoscale_refuses_an_out_of_range_shard_field() {
+        let w = world(&[200]);
+        w.store
+            .apply_config(config(vec![spec("Acl", vec![PlacementConstraint::OffApp])]));
+        w.controller.run_pending(&w.events).unwrap();
+        let e = w
+            .controller
+            .enable_autoscale("shop", autoscale_on(3))
+            .unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+        assert!(w.controller.apps.lock()["shop"].autoscale.is_none());
+    }
+
+    /// Quota counts per username: sharding it by object_id would give
+    /// each instance a diverging replica of every user's counter (V0005).
+    #[test]
+    fn autoscale_refuses_state_not_keyed_by_the_shard_field() {
+        let w = world(&[200]);
+        w.store.apply_config(config(vec![spec(
+            "Quota",
+            vec![PlacementConstraint::OffApp],
+        )]));
+        w.controller.run_pending(&w.events).unwrap();
+        let e = w
+            .controller
+            .enable_autoscale("shop", autoscale_on(0))
+            .unwrap_err();
+        assert!(e.message.contains("not shard-safe"), "{e}");
+        assert!(w.controller.apps.lock()["shop"].autoscale.is_none());
+        // Keyed by the field its state is keyed on, the same chain arms.
+        w.controller
+            .enable_autoscale("shop", autoscale_on(1))
+            .unwrap();
     }
 
     /// The brownout knob: flipping it refuses Sheddable-stamped requests

@@ -139,10 +139,8 @@ impl HopObserver {
     }
 
     /// Re-resolves the metric series after a chain install. Series register
-    /// under the telemetry's metrics id when set (distinct per shard of a
-    /// sharded processor), else under the hop address.
+    /// under the hop address.
     fn rebind(&mut self, chain: &EngineChain) {
-        let metrics_id = self.telemetry.metrics_processor.unwrap_or(self.addr);
         self.names = chain.names().into_iter().map(str::to_owned).collect();
         self.series = self
             .names
@@ -150,7 +148,7 @@ impl HopObserver {
             .map(|n| {
                 self.telemetry
                     .registry
-                    .element(&self.telemetry.app, n, metrics_id)
+                    .element(&self.telemetry.app, n, self.addr)
             })
             .collect();
     }
@@ -257,8 +255,8 @@ pub struct HopCore {
 }
 
 impl HopCore {
-    /// A core serving `config.addr`. The config's clock and inbox capacity
-    /// belong to the driver and are ignored here.
+    /// A core serving `config.addr`. The config's clock belongs to the
+    /// driver and is ignored here.
     pub fn new(config: ProcessorConfig) -> Self {
         let ProcessorConfig {
             addr,
@@ -271,7 +269,6 @@ impl HopCore {
             clock: _,
             batch_max,
             overload,
-            inbox_capacity: _,
         } = config;
         let batch_max = batch_max.max(1);
         Self {

@@ -27,7 +27,6 @@ pub mod hop;
 pub mod hop_core;
 pub mod processor;
 pub mod scaleout;
-pub mod shard;
 
 pub use hop_core::{HopCore, HopOutcome, HopOutput, OutcomeKind};
 pub use processor::{
@@ -35,4 +34,3 @@ pub use processor::{
     StatsSnapshot, DEFAULT_BATCH_MAX,
 };
 pub use scaleout::{spawn_sharded, ShardedConfig, ShardedHandle};
-pub use shard::{spawn_processor_sharded, ShardedProcessor};

@@ -202,28 +202,6 @@ impl ProcessorStats {
     }
 }
 
-impl StatsSnapshot {
-    /// Element-wise sum, used to aggregate per-shard snapshots into one
-    /// logical processor view. `queue_depth` also sums: it is the total
-    /// backlog across shard inboxes.
-    pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests + other.requests,
-            responses: self.responses + other.responses,
-            forwarded: self.forwarded + other.forwarded,
-            dropped: self.dropped + other.dropped,
-            aborted: self.aborted + other.aborted,
-            decode_errors: self.decode_errors + other.decode_errors,
-            dedup_hits: self.dedup_hits + other.dedup_hits,
-            stale_responses: self.stale_responses + other.stale_responses,
-            queue_depth: self.queue_depth + other.queue_depth,
-            drain_drops: self.drain_drops + other.drain_drops,
-            expired_drops: self.expired_drops + other.expired_drops,
-            shed: self.shed + other.shed,
-        }
-    }
-}
-
 /// Control messages to a running processor.
 enum Ctl {
     /// Stop pulling frames; queued frames accumulate (lossless pause).
@@ -289,11 +267,6 @@ pub struct ProcessorConfig {
     /// Admission-control tuning (shedding high-water mark, expired-frame
     /// dropping, brownout). The default touches nothing.
     pub overload: OverloadPolicy,
-    /// Capacity of each per-shard inbox when this config is sharded via
-    /// [`crate::shard::spawn_processor_sharded`] (`None` = unbounded, the
-    /// historical behavior). A full inbox drops the frame, counted in
-    /// [`crate::shard::ShardedProcessor::inbox_drops`].
-    pub inbox_capacity: Option<usize>,
 }
 
 impl ProcessorConfig {
@@ -316,7 +289,6 @@ impl ProcessorConfig {
             clock: None,
             batch_max: DEFAULT_BATCH_MAX,
             overload: OverloadPolicy::default(),
-            inbox_capacity: None,
         }
     }
 
@@ -342,12 +314,6 @@ impl ProcessorConfig {
     /// Sets the overload/admission policy (builder style).
     pub fn with_overload(mut self, overload: OverloadPolicy) -> Self {
         self.overload = overload;
-        self
-    }
-
-    /// Bounds the per-shard inboxes (builder style; sharded spawns only).
-    pub fn with_inbox_capacity(mut self, capacity: usize) -> Self {
-        self.inbox_capacity = Some(capacity.max(1));
         self
     }
 }
@@ -818,7 +784,6 @@ pub(crate) mod tests {
                 clock: None,
                 batch_max: DEFAULT_BATCH_MAX,
                 overload: OverloadPolicy::default(),
-                inbox_capacity: None,
             },
             link.clone(),
             proc_frames,
@@ -887,7 +852,6 @@ pub(crate) mod tests {
             registry: Arc::new(Registry::new()),
             spans: Arc::new(SpanRing::new(64)),
             sampler: Arc::new(Sampler::off()),
-            metrics_processor: None,
         };
         let _processor = spawn_processor(
             ProcessorConfig::new(
@@ -1339,7 +1303,6 @@ pub(crate) mod tests {
             registry: Arc::new(Registry::new()),
             spans: Arc::new(SpanRing::new(16)),
             sampler: Arc::new(Sampler::off()),
-            metrics_processor: None,
         };
         let processor = spawn_processor(
             ProcessorConfig::new(

@@ -17,15 +17,6 @@ use adn_rpc::schema::ServiceSchema;
 use adn_rpc::transport::{EndpointAddr, Frame, Link};
 use adn_rpc::wire_format;
 
-/// How the router picks an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardBy {
-    /// Hash a request field (by schema index); keyed state stays local.
-    RequestField(usize),
-    /// Hash the call id (stateless chains only).
-    CallId,
-}
-
 /// Configuration for [`spawn_sharded`].
 pub struct ShardedConfig {
     /// The router's flat address (what clients send to).
@@ -34,8 +25,10 @@ pub struct ShardedConfig {
     pub instances: Vec<EndpointAddr>,
     /// Service schema (the router decodes the envelope + shard field).
     pub service: Arc<ServiceSchema>,
-    /// Sharding policy.
-    pub shard_by: ShardBy,
+    /// Request field (by schema index) whose stable hash picks the
+    /// instance, so keyed state stays local. Must be in range for every
+    /// method's request schema.
+    pub shard_field: usize,
     /// NAT flow entries inherited from the processor this router replaced:
     /// in-flight responses addressed to the old processor are routed back
     /// to their original requesters.
@@ -134,7 +127,7 @@ pub fn spawn_sharded(
                 addr: addr_for_drain,
                 instances,
                 service,
-                shard_by,
+                shard_field,
                 inherited_flows: _,
             } = config;
             while !t_stop.load(Ordering::Relaxed) {
@@ -177,10 +170,7 @@ pub fn spawn_sharded(
                     }
                     continue;
                 }
-                let hash = match shard_by {
-                    ShardBy::RequestField(idx) => msg.fields[idx].stable_hash(),
-                    ShardBy::CallId => adn_rpc::value::Value::U64(msg.call_id).stable_hash(),
-                };
+                let hash = msg.fields[shard_field].stable_hash();
                 let instance = instances[(hash % instances.len() as u64) as usize];
                 if link
                     .send(Frame {
@@ -308,7 +298,6 @@ mod tests {
                     clock: None,
                     batch_max: DEFAULT_BATCH_MAX,
                     overload: Default::default(),
-                    inbox_capacity: None,
                 },
                 link.clone(),
                 frames,
@@ -322,7 +311,7 @@ mod tests {
                 addr: 5,
                 instances: vec![10, 11],
                 service: svc.clone(),
-                shard_by: ShardBy::RequestField(0),
+                shard_field: 0,
                 inherited_flows: Default::default(),
             },
             link.clone(),

@@ -214,7 +214,7 @@ const MIN_FRAME_LEN: usize = 16;
 /// Greatest value of the length field a link sends or accepts (4 MiB, the
 /// default message limit of gRPC). The field comes off the wire before the
 /// bytes it announces, so it is bounded before anything is allocated for
-/// it; a connection that announces more, or less than [`MIN_FRAME_LEN`],
+/// it; a connection that announces more, or less than `MIN_FRAME_LEN`,
 /// is closed and counted in [`TcpLinkStats::malformed_frames`].
 pub const MAX_FRAME_LEN: usize = 4 << 20;
 
@@ -470,9 +470,9 @@ fn read_connection(stream: TcpStream, tx: &Sender<Frame>, counters: &Counters) {
 /// Frames to local endpoints are delivered on the host's receive channel.
 ///
 /// There is one read path and one write path. Each accepted connection has
-/// a reader thread ([`read_connection`]) that turns whatever one `read`
+/// a reader thread (`read_connection`) that turns whatever one `read`
 /// returned into one burst on the receive channel. Each peer has one
-/// persistent outbound connection ([`Peer`]); [`Link::send`] and
+/// persistent outbound connection (`Peer`); [`Link::send`] and
 /// [`Link::send_batch`] both write through it under its lock, small frames
 /// coalesced into one `write`.
 pub struct TcpLink {
@@ -676,7 +676,7 @@ impl Link for TcpLink {
 
     /// Groups frames by resolved peer (preserving per-peer order) and
     /// writes each group through the peer's connection in as few `write`
-    /// calls as [`WRITE_BUF`] allows. A group whose write fails falls back
+    /// calls as `WRITE_BUF` allows. A group whose write fails falls back
     /// to per-frame [`TcpLink::send`], which redials — so one stale peer
     /// costs one redial, not the batch.
     fn send_batch(&self, frames: Vec<Frame>) -> usize {

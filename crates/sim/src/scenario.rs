@@ -710,7 +710,6 @@ impl<'a> Sim<'a> {
                 registry: Arc::new(Registry::new()),
                 spans: Arc::new(SpanRing::new(4096)),
                 sampler: Arc::new(Sampler::off()),
-                metrics_processor: None,
             },
             partitioned: false,
             compile_seed,

@@ -49,22 +49,6 @@ pub struct HopTelemetry {
     pub spans: Arc<SpanRing>,
     /// Per-app sampling decision, set by the controller.
     pub sampler: Arc<Sampler>,
-    /// Registry identity override for metric series. `None` registers under
-    /// the hop's own address (the single-shard case). A sharded processor
-    /// gives each shard worker a distinct id here so per-shard series stay
-    /// separate and merge losslessly via [`Registry::snapshot_merged`];
-    /// spans and trace ids keep using the hop address either way, so the
-    /// trace tree is unaffected by sharding.
-    pub metrics_processor: Option<u64>,
-}
-
-impl HopTelemetry {
-    /// Returns a copy whose metric series register under `id` instead of
-    /// the hop address (builder style; used per shard worker).
-    pub fn with_metrics_processor(mut self, id: u64) -> Self {
-        self.metrics_processor = Some(id);
-        self
-    }
 }
 
 impl std::fmt::Debug for HopTelemetry {

@@ -173,37 +173,6 @@ impl Registry {
         out.sort_by(|a, b| a.key.element.cmp(&b.key.element));
         out
     }
-
-    /// Merges the series of one app across several processor ids into a
-    /// single logical view keyed by `merged_id` — the aggregation a sharded
-    /// processor's handle presents (each shard records under its own id).
-    /// Counts and errors add; histograms merge bucket-wise (exactly, by
-    /// construction). Elements present on only some shards still appear.
-    pub fn snapshot_merged(
-        &self,
-        app: &str,
-        processors: &[u64],
-        merged_id: u64,
-    ) -> Vec<ElementSnapshot> {
-        let mut merged: HashMap<String, ElementSnapshot> = HashMap::new();
-        for snap in processors.iter().flat_map(|p| self.snapshot_for(app, *p)) {
-            match merged.get_mut(&snap.key.element) {
-                Some(m) => {
-                    m.count += snap.count;
-                    m.errors += snap.errors;
-                    m.exec.merge(&snap.exec);
-                }
-                None => {
-                    let mut m = snap.clone();
-                    m.key.processor = merged_id;
-                    merged.insert(snap.key.element.clone(), m);
-                }
-            }
-        }
-        let mut out: Vec<ElementSnapshot> = merged.into_values().collect();
-        out.sort_by(|a, b| a.key.element.cmp(&b.key.element));
-        out
-    }
 }
 
 impl std::fmt::Debug for Registry {
@@ -357,31 +326,6 @@ mod tests {
         let slice = r.snapshot_for("shop", 200);
         assert_eq!(slice.len(), 1);
         assert_eq!(slice[0].key.element, "Acl");
-    }
-
-    #[test]
-    fn snapshot_merged_sums_shards_under_one_id() {
-        let r = Registry::new();
-        // Two shards of processor 50, one id apart; an unrelated series.
-        r.element("shop", "Acl", 50).observe(100, true);
-        r.element("shop", "Acl", 50).observe(200, false);
-        r.element("shop", "Acl", 1 << 32 | 50).observe(300, true);
-        // Present on one shard only.
-        r.element("shop", "Logging", 1 << 32 | 50).observe(50, true);
-        r.element("other", "Acl", 50).observe(1, true);
-
-        let merged = r.snapshot_merged("shop", &[50, 1 << 32 | 50], 50);
-        assert_eq!(merged.len(), 2);
-        let acl = &merged[0];
-        assert_eq!(acl.key.element, "Acl");
-        assert_eq!(acl.key.processor, 50);
-        assert_eq!(acl.count, 3);
-        assert_eq!(acl.errors, 1);
-        assert_eq!(acl.exec.count(), 3);
-        let logging = &merged[1];
-        assert_eq!(logging.key.element, "Logging");
-        assert_eq!(logging.key.processor, 50);
-        assert_eq!(logging.count, 1);
     }
 
     #[test]

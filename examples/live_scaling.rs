@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             clock: None,
             batch_max: DEFAULT_BATCH_MAX,
             overload: Default::default(),
-            inbox_capacity: None,
         },
         link.clone(),
         frames,
@@ -136,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("scaling out to 3 shards keyed by username...");
     let group = scale_out(
-        processor,
+        &processor,
         std::slice::from_ref(&element),
         1, // username field index
         3,
@@ -149,6 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &alloc,
         None,
     )?;
+    processor.stop();
     println!(
         "  shard router live at the old address; instances at {:?}",
         group.instances.iter().map(|i| i.addr()).collect::<Vec<_>>()

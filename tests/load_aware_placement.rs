@@ -65,18 +65,20 @@ fn queue_breach_scales_out_exactly_once() {
     let entry = w.controller().processor_stats("app")[0].0;
 
     let cooldown = Duration::from_secs(60);
-    w.controller().enable_autoscale(
-        "app",
-        AutoscaleConfig {
-            policy: LoadAwarePolicy {
-                queue_depth_threshold: 2,
-                cooldown,
-                ..LoadAwarePolicy::default()
+    w.controller()
+        .enable_autoscale(
+            "app",
+            AutoscaleConfig {
+                policy: LoadAwarePolicy {
+                    queue_depth_threshold: 2,
+                    cooldown,
+                    ..LoadAwarePolicy::default()
+                },
+                shard_field: 1, // username
+                shards: 2,
             },
-            shard_field: 1, // username
-            shards: 2,
-        },
-    );
+        )
+        .unwrap();
 
     // Two congested heartbeats arrive back to back; both breach, but the
     // first scale-out consumes the group and the second must find nothing

@@ -125,7 +125,6 @@ fn migrate_scale_out_scale_in_loses_nothing() {
             clock: None,
             batch_max: DEFAULT_BATCH_MAX,
             overload: Default::default(),
-            inbox_capacity: None,
         },
         rig.link.clone(),
         frames,
@@ -148,7 +147,7 @@ fn migrate_scale_out_scale_in_loses_nothing() {
     // Scale out to 3 keyed shards.
     let alloc = AddrAllocator::new(5000);
     let group = scale_out(
-        processor,
+        &processor,
         std::slice::from_ref(&rig.element),
         1,
         3,
@@ -162,6 +161,7 @@ fn migrate_scale_out_scale_in_loses_nothing() {
         None,
     )
     .unwrap();
+    processor.stop();
     run_calls(&rig, 72, 60);
 
     // Scale back in.

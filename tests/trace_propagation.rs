@@ -70,7 +70,6 @@ fn trace_ids_survive_nat_dedup_and_retries_across_three_hops() {
         registry: Arc::new(Registry::new()),
         spans: Arc::new(SpanRing::new(65_536)),
         sampler: Arc::new(Sampler::off()),
-        metrics_processor: None,
     };
     let chain = |name: &'static str| {
         EngineChain::from_engines(vec![Box::new(Passthrough(name)) as Box<dyn Engine>])
