@@ -488,12 +488,13 @@ fn fig2() {
 }
 
 /// Builds client → shard-router → N processors (Compress→Acl→Decompress) →
-/// server and measures a closed loop.
+/// server with the controller's scale-out and measures a closed loop.
 fn scale_out_point(shards: usize, payload: &[u8], window: Duration) -> (f64, f64) {
     use adn_backend::jit::compile_engine;
-    use adn_backend::native::{element_seed, CompileOpts};
-    use adn_dataplane::processor::{spawn_processor, NextHop, ProcessorConfig, DEFAULT_BATCH_MAX};
-    use adn_dataplane::scaleout::{spawn_sharded, ShardedConfig};
+    use adn_backend::native::CompileOpts;
+    use adn_controller::deploy::AddrAllocator;
+    use adn_controller::reconfig::scale_out;
+    use adn_dataplane::processor::{spawn_processor, NextHop, ProcessorConfig};
     use adn_rpc::engine::EngineChain;
     use adn_rpc::runtime::{spawn_server, RpcClient, ServerConfig};
     use adn_rpc::transport::{InProcNetwork, Link};
@@ -522,57 +523,40 @@ fn scale_out_point(shards: usize, payload: &[u8], window: Duration) -> (f64, f64
         }),
     );
 
-    // Shard instances hosting Compress → Acl → Decompress.
+    // One processor hosting Compress → Acl → Decompress at 500, scaled out
+    // on username to `shards` instances behind a router at its address.
     let elements: Vec<adn_ir::ElementIr> = ["Compress", "Acl", "Decompress"]
         .iter()
         .map(|n| adn_elements::build(n, &[], &req_schema, &resp_schema).expect("build"))
         .collect();
-    let mut handles = Vec::new();
-    let mut instance_addrs = Vec::new();
-    for s in 0..shards {
-        let addr = 1000 + s as u64;
-        let mut chain = EngineChain::new();
-        for (i, e) in elements.iter().enumerate() {
-            chain.push(compile_engine(
-                e,
-                &CompileOpts {
-                    seed: element_seed(7 ^ (s as u64) << 32, i),
-                    replicas: vec![],
-                    ..Default::default()
-                },
-            ));
-        }
-        let frames = net.attach(addr);
-        handles.push(spawn_processor(
-            ProcessorConfig {
-                addr,
-                service: service.clone(),
-                chain,
-                request_next: NextHop::Fixed(200),
-                response_next: NextHop::Dst,
-                initial_flows: Default::default(),
-                telemetry: None,
-                clock: None,
-                batch_max: DEFAULT_BATCH_MAX,
-                overload: Default::default(),
-            },
-            link.clone(),
-            frames,
-        ));
-        instance_addrs.push(addr);
+    let mut chain = EngineChain::new();
+    for e in &elements {
+        chain.push(compile_engine(e, &CompileOpts::default()));
     }
-    let router_frames = net.attach(500);
-    let _router = spawn_sharded(
-        ShardedConfig {
-            addr: 500,
-            instances: instance_addrs,
-            service: service.clone(),
-            shard_field: 1, // username
-            inherited_flows: Default::default(),
-        },
-        link.clone(),
-        router_frames,
+    let config = ProcessorConfig::new(
+        500,
+        service.clone(),
+        chain,
+        NextHop::Fixed(200),
+        NextHop::Dst,
     );
+    let processor = spawn_processor(config, link.clone(), net.attach(500));
+    let _group = scale_out(
+        &processor,
+        &elements,
+        1,
+        shards,
+        7,
+        &[],
+        &net,
+        link.clone(),
+        service.clone(),
+        NextHop::Fixed(200),
+        &AddrAllocator::new(1000),
+        None,
+    )
+    .expect("scale out");
+    processor.stop();
 
     let client_frames = net.attach(100);
     let client = RpcClient::new(

@@ -26,12 +26,13 @@ use adn_backend::state::StateTable;
 use adn_dataplane::processor::{
     spawn_processor, NextHop, ProcessorConfig, ProcessorHandle, DEFAULT_BATCH_MAX,
 };
-use adn_dataplane::scaleout::{spawn_sharded, ShardedConfig, ShardedHandle};
-use adn_ir::element::{ElementIr, IrStmt, JoinStrategy};
+use adn_dataplane::scaleout::{spawn_sharded, ShardRouter, ShardedHandle};
+use adn_ir::element::{ChainIr, ElementIr, IrStmt, JoinStrategy};
 use adn_rpc::engine::EngineChain;
 use adn_rpc::schema::ServiceSchema;
 use adn_rpc::transport::{EndpointAddr, InProcNetwork, Link};
 use adn_telemetry::HopTelemetry;
+use adn_verifier::{codes, verify_chain, ChainVerifyOptions};
 use adn_wire::codec::{Decoder, Encoder};
 
 use crate::deploy::AddrAllocator;
@@ -113,7 +114,7 @@ pub fn migrate_processor(
 // ---------------------------------------------------------------------------
 
 /// Parses a NativeEngine state image into its tables.
-fn decode_engine_image(
+pub fn decode_engine_image(
     element: &ElementIr,
     image: &[u8],
 ) -> Result<Vec<StateTable>, ReconfigError> {
@@ -275,8 +276,84 @@ pub struct ScaledGroup {
     pub instances: Vec<ProcessorHandle>,
 }
 
-/// Builds each shard's chain with its partition of `old`'s state imported.
-/// `old` must be paused.
+/// Whether a group can be sharded on request field `shard_field`. The
+/// field must exist in every method's request schema (the router reads it
+/// from every request), and the verifier's partitionability lint
+/// (`V0005`) must find no mutated state keyed by anything else (each shard
+/// would hold a diverging replica of it).
+pub fn check_shard_safe(
+    service: &ServiceSchema,
+    chain: &ChainIr,
+    shard_field: usize,
+) -> Result<(), ReconfigError> {
+    for method in service.methods() {
+        if shard_field >= method.request.len() {
+            return Err(err(format!(
+                "shard field {shard_field} is out of range for method {}'s request schema ({} fields)",
+                method.name,
+                method.request.len()
+            )));
+        }
+    }
+    let opts = ChainVerifyOptions {
+        shard_field: Some(shard_field),
+        ..Default::default()
+    };
+    match verify_chain(chain, &opts)
+        .into_iter()
+        .find(|d| d.diagnostic.code == codes::NON_PARTITIONABLE)
+    {
+        Some(finding) => Err(err(format!(
+            "chain is not shard-safe on field {shard_field}: {}",
+            finding.diagnostic.message
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// One shard of a [`ScalePlan`]: an image and a compile seed per element.
+pub struct ShardPlan {
+    pub images: Vec<Vec<u8>>,
+    pub seeds: Vec<u64>,
+}
+
+/// The pure part of a scale-out, one entry per shard. It compiles nothing,
+/// so each caller builds engines at its own tier.
+pub type ScalePlan = Vec<ShardPlan>;
+
+/// Plans a scale-out of a group hosting `elements` (one engine each, in
+/// order) whose state is `images`: keyed tables partition by the router's
+/// hash of `shard_field`, other tables replicate, and every shard gets its
+/// own RNG stream derived from `seed`.
+pub fn plan_scale_out(
+    images: &[Vec<u8>],
+    elements: &[ElementIr],
+    shard_field: usize,
+    shards: usize,
+    seed: u64,
+) -> Result<ScalePlan, ReconfigError> {
+    if images.len() != elements.len() {
+        return Err(err("engine/image arity mismatch"));
+    }
+    let mut plan: ScalePlan = (0..shards)
+        .map(|s| ShardPlan {
+            images: Vec::with_capacity(elements.len()),
+            seeds: (0..elements.len())
+                .map(|i| element_seed(seed ^ ((s as u64 + 1) << 32), i))
+                .collect(),
+        })
+        .collect();
+    for (element, image) in elements.iter().zip(images) {
+        let parts = partition_engine_image(element, image, shard_field, shards)?;
+        for (shard, part) in plan.iter_mut().zip(parts) {
+            shard.images.push(part);
+        }
+    }
+    Ok(plan)
+}
+
+/// Builds each shard's chain from the plan of `old`'s state. `old` must be
+/// paused.
 fn shard_chains(
     old: &ProcessorHandle,
     elements: &[ElementIr],
@@ -288,35 +365,22 @@ fn shard_chains(
     let images = old
         .export_state()
         .map_err(|e| err(format!("snapshot of {:#x}: {e}", old.addr())))?;
-    if images.len() != elements.len() {
-        return Err(err("engine/image arity mismatch"));
-    }
-
-    // Partition each engine's state.
-    let mut shard_images: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
-    for (element, image) in elements.iter().zip(&images) {
-        let parts = partition_engine_image(element, image, shard_field, shards)?;
-        for (s, part) in parts.into_iter().enumerate() {
-            shard_images[s].push(part);
-        }
-    }
-
+    let plan = plan_scale_out(&images, elements, shard_field, shards, seed)?;
     let mut chains = Vec::with_capacity(shards);
-    for (s, images) in shard_images.into_iter().enumerate() {
+    for (s, shard) in plan.into_iter().enumerate() {
         let mut chain = EngineChain::new();
-        for (i, element) in elements.iter().enumerate() {
+        for (element, &seed) in elements.iter().zip(&shard.seeds) {
             chain.push(compile_engine(
                 element,
                 &CompileOpts {
-                    // Distinct RNG stream per shard.
-                    seed: element_seed(seed ^ ((s as u64 + 1) << 32), i),
+                    seed,
                     replicas: replicas.to_vec(),
                     ..Default::default()
                 },
             ));
         }
         chain
-            .import_states(&images)
+            .import_states(&shard.images)
             .map_err(|e| err(format!("shard {s} import: {e}")))?;
         chains.push(chain);
     }
@@ -324,11 +388,11 @@ fn shard_chains(
 }
 
 /// Scales a single-processor group out to `shards` instances behind a shard
-/// router that takes over the group's address (clients are untouched).
-/// `elements` are the IR elements the old processor hosted (one engine
-/// each, in order); `shard_field` is the request-schema field index the
-/// router hashes. `telemetry` is cloned into each instance so the scaled
-/// group keeps reporting element metrics.
+/// router that takes over the group's address (clients are untouched):
+/// [`plan_scale_out`], then spawn. `elements` are the IR elements the old
+/// processor hosted (one engine each, in order); `shard_field` is the
+/// request-schema field index the router hashes. `telemetry` is cloned
+/// into each instance so the scaled group keeps reporting element metrics.
 ///
 /// Every fallible step (snapshot, partition, import) runs before the router
 /// takes the address. On error `old` is resumed and keeps serving. On
@@ -387,13 +451,8 @@ pub fn scale_out(
     // Router takes over the group's address, then the old processor drains.
     let router_frames = net.attach(addr);
     let router = spawn_sharded(
-        ShardedConfig {
-            addr,
-            instances: instance_addrs,
-            service,
-            shard_field,
-            inherited_flows,
-        },
+        addr,
+        ShardRouter::new(instance_addrs, service, shard_field, inherited_flows),
         link,
         router_frames,
     );

@@ -30,12 +30,11 @@ use adn_rpc::transport::{EndpointAddr, InProcNetwork, Link};
 use adn_telemetry::{
     ClusterView, HopTelemetry, LoadAwarePolicy, ProcessorObservation, Registry, Sampler, SpanRing,
 };
-use adn_verifier::{codes, verify_chain, ChainVerifyOptions};
 
 use crate::compile::{compile_app, CompiledApp};
 use crate::deploy::{build_engine, deploy, AddrAllocator, Deployment};
 use crate::placement::{place, Environment};
-use crate::reconfig::{scale_out, ScaledGroup};
+use crate::reconfig::{check_shard_safe, scale_out, ScaledGroup};
 
 /// Failure-detection and degraded-mode policy for one app.
 ///
@@ -83,7 +82,7 @@ pub struct AppRegistration {
 /// [`Controller::enable_autoscale`].
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
-    /// Thresholds and cooldown.
+    /// Breach thresholds.
     pub policy: LoadAwarePolicy,
     /// Request-schema field index the shard router hashes.
     pub shard_field: usize,
@@ -105,13 +104,9 @@ struct ManagedApp {
     /// Scale-out-on-breach policy; `None` leaves scaling operator-driven.
     autoscale: Option<AutoscaleConfig>,
     /// The group scaled out by the autoscaler (its router holds the
-    /// original group address). At most one per app.
+    /// original group address). At most one per app: once filled, it
+    /// refuses every later scale-out.
     scaled: Option<ScaledGroup>,
-    /// When the autoscaler last scaled out, on the controller's clock
-    /// (cooldown anchor).
-    last_scaleout: Option<Duration>,
-    /// Scale-outs performed by the autoscaler since registration.
-    scaleouts: u64,
     /// Overload/admission policy applied to every processor of the app.
     /// Persisted here so redeploys (sync, failover, scale-out) re-apply
     /// it to fresh processors; the default is fully permissive.
@@ -193,8 +188,8 @@ pub struct Controller {
     /// Per-app trace samplers (shared with every hop of the app).
     /// Lock ordering: never held together with `apps`.
     samplers: Mutex<HashMap<String, Arc<Sampler>>>,
-    /// Time source for autoscale cooldowns, the cluster view's window, and
-    /// the heartbeat clock handed to deployed processors.
+    /// Time source for the cluster view's window and the heartbeat clock
+    /// handed to deployed processors.
     clock: Arc<dyn Clock>,
 }
 
@@ -220,7 +215,7 @@ impl Controller {
 
     /// Like [`Controller::with_link`] but with an explicit time source.
     /// Deterministic tests pass a [`adn_rpc::clock::VirtualClock`] shared
-    /// with the processors so cooldowns and heartbeat ages follow
+    /// with the processors so view windows and heartbeat ages follow
     /// controlled jumps.
     pub fn with_link_and_clock(
         store: ClusterStore,
@@ -303,12 +298,9 @@ impl Controller {
     }
 
     /// Enables scale-out-on-breach for the app. Call after its config is
-    /// applied: the compiled chain must be shard-safe on
-    /// `config.shard_field`. Refused when the field is out of range for
-    /// some method's request schema (the router would index past the
-    /// decoded fields), or when the verifier's partitionability lint
-    /// (`V0005`) finds mutated state not keyed by that field (each
-    /// instance would hold a diverging replica of it).
+    /// applied: the compiled chain must pass [`check_shard_safe`] on
+    /// `config.shard_field` — the simulator's scale-out runs the same
+    /// check.
     pub fn enable_autoscale(
         &self,
         app: &str,
@@ -318,40 +310,26 @@ impl Controller {
         let managed = apps
             .get_mut(app)
             .ok_or_else(|| cerr(format!("app {app} not registered")))?;
-        let field = config.shard_field;
-        for method in managed.registration.service.methods() {
-            if field >= method.request.len() {
-                return Err(cerr(format!(
-                    "shard field {field} is out of range for method {}'s request schema ({} fields)",
-                    method.name,
-                    method.request.len()
-                )));
-            }
-        }
         let compiled = managed
             .compiled
             .as_ref()
             .ok_or_else(|| cerr(format!("app {app} has no compiled chain to check")))?;
-        let opts = ChainVerifyOptions {
-            shard_field: Some(field),
-            ..Default::default()
-        };
-        if let Some(finding) = verify_chain(&compiled.chain, &opts)
-            .into_iter()
-            .find(|d| d.diagnostic.code == codes::NON_PARTITIONABLE)
-        {
-            return Err(cerr(format!(
-                "chain is not shard-safe on field {field}: {}",
-                finding.diagnostic.message
-            )));
-        }
+        check_shard_safe(
+            &managed.registration.service,
+            &compiled.chain,
+            config.shard_field,
+        )
+        .map_err(cerr)?;
         managed.autoscale = Some(config);
         Ok(())
     }
 
-    /// Scale-outs the autoscaler has performed for the app.
+    /// Scale-outs the autoscaler has performed for the app: 0 or 1.
     pub fn scaleout_count(&self, app: &str) -> u64 {
-        self.apps.lock().get(app).map(|m| m.scaleouts).unwrap_or(0)
+        self.apps
+            .lock()
+            .get(app)
+            .map_or(0, |m| m.scaled.is_some().into())
     }
 
     /// The least-loaded candidate per the app's load-aware policy (falls
@@ -388,8 +366,6 @@ impl Controller {
                 checkpoints: HashMap::new(),
                 autoscale: None,
                 scaled: None,
-                last_scaleout: None,
-                scaleouts: 0,
                 overload: OverloadPolicy::default(),
             },
         );
@@ -644,13 +620,13 @@ impl Controller {
     }
 
     /// Checks the breached endpoint against its owning app's autoscale
-    /// policy and, at most once per cooldown, shards the group out.
+    /// policy and, on a breach, shards the group out.
     ///
-    /// Exactly-once per breach episode: the whole check-and-scale runs
-    /// under the apps lock, and a successful scale-out fills the `scaled`
-    /// slot, which (with the cooldown) refuses re-entry. Only then is the
-    /// group's old handle taken and stopped; a failed [`scale_out`] has
-    /// already resumed it, so the group keeps serving under its handle.
+    /// Once per app: the whole check-and-scale runs under the apps lock,
+    /// and a successful scale-out fills the `scaled` slot, which refuses
+    /// re-entry. Only then is the group's old handle taken and stopped; a
+    /// failed [`scale_out`] has already resumed it, so the group keeps
+    /// serving under its handle and a later breach may try again.
     fn maybe_autoscale(&self, endpoint: EndpointAddr) -> Result<(), ControllerError> {
         // Find the app that autoscales this endpoint (locks: apps only).
         let app = {
@@ -685,11 +661,6 @@ impl Controller {
         };
         if managed.scaled.is_some() {
             return Ok(());
-        }
-        if let Some(last) = managed.last_scaleout {
-            if self.clock.now().saturating_sub(last) < cfg.policy.cooldown {
-                return Ok(());
-            }
         }
         if !cfg.policy.breached(&self.view, endpoint) {
             return Ok(());
@@ -739,8 +710,6 @@ impl Controller {
             }
         }
         managed.scaled = Some(scaled);
-        managed.last_scaleout = Some(self.clock.now());
-        managed.scaleouts += 1;
         drop(apps);
         // The old endpoint now fronts the shard router; its congested
         // observations no longer describe a schedulable processor.
@@ -1365,56 +1334,6 @@ mod tests {
         }
     }
 
-    /// The autoscale cooldown anchor lives on the controller's clock, not
-    /// the wall clock: a breach inside the window is refused, and jumping
-    /// the virtual clock past the window (no sleeping) re-arms it.
-    #[test]
-    fn autoscale_cooldown_gates_on_the_virtual_clock() {
-        let clock = adn_rpc::clock::VirtualClock::shared();
-        let w = world_with_clock(&[200], clock.clone());
-        w.store
-            .apply_config(config(vec![spec("Acl", vec![PlacementConstraint::OffApp])]));
-        w.controller.run_pending(&w.events).unwrap();
-        assert!(call(&w, 1, "alice").is_ok());
-        let entry = w.controller.processor_stats("shop")[0].0;
-
-        let cooldown = Duration::from_secs(5);
-        w.controller
-            .enable_autoscale(
-                "shop",
-                AutoscaleConfig {
-                    policy: LoadAwarePolicy {
-                        queue_depth_threshold: 2,
-                        cooldown,
-                        ..LoadAwarePolicy::default()
-                    },
-                    shard_field: 1, // username
-                    shards: 2,
-                },
-            )
-            .unwrap();
-        // Seed the cooldown anchor at virtual-now, as if a scale-out had
-        // just happened (the state a scale-in hands back): the guard — and
-        // only the guard — must refuse the next breach.
-        {
-            let mut apps = w.controller.apps.lock();
-            apps.get_mut("shop").unwrap().last_scaleout = Some(clock.now());
-        }
-
-        // A breach inside the cooldown window is refused.
-        w.store.report_load(load(entry, 10, 100));
-        w.controller.run_pending(&w.events).unwrap();
-        assert_eq!(w.controller.scaleout_count("shop"), 0, "inside cooldown");
-
-        // Jump virtual time past the window; the same breach now scales.
-        clock.advance(cooldown + Duration::from_millis(1));
-        w.store.report_load(load(entry, 20, 100));
-        w.controller.run_pending(&w.events).unwrap();
-        assert_eq!(w.controller.scaleout_count("shop"), 1, "cooldown expired");
-        assert!(call(&w, 2, "alice").is_ok());
-        assert!(call(&w, 3, "bob").is_err(), "ACL enforced on shards");
-    }
-
     /// A sustained shed rate in the heartbeat reports is a capacity
     /// breach: the autoscaler must react to it even when queue depth and
     /// p99 look healthy (the whole point of shedding is that they will).
@@ -1438,7 +1357,6 @@ mod tests {
                         queue_depth_threshold: u64::MAX,
                         p99_threshold_ns: u64::MAX,
                         shed_rate_threshold: 5,
-                        cooldown: Duration::from_millis(1),
                     },
                     shard_field: 1, // username
                     shards: 2,

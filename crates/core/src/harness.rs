@@ -132,8 +132,8 @@ pub struct WorldConfig {
     /// Record per-object-id server side-effect counts (for verifying
     /// at-most-once execution under retries).
     pub track_effects: bool,
-    /// Time source for the controller (autoscale cooldowns, heartbeat
-    /// ages, the cluster view's window). `None` uses the system clock;
+    /// Time source for the controller (heartbeat ages, the cluster
+    /// view's window). `None` uses the system clock;
     /// deterministic tests pass a shared
     /// [`adn_rpc::clock::VirtualClock`] and advance it explicitly.
     pub clock: Option<Arc<dyn adn_rpc::clock::Clock>>,

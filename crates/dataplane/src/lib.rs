@@ -18,7 +18,8 @@
 //!   the same core, so its invariants check production hop logic.
 //! * [`scaleout`] — Figure 2 Configuration 4: a shard router endpoint in
 //!   front of N processor instances, sharding by a request field so keyed
-//!   element state stays shard-local.
+//!   element state stays shard-local. Its sans-IO core, [`ShardRouter`],
+//!   is driven by the router thread and by the simulator alike.
 //! * [`hop`] — minimal-header hop codec: intermediate hops carry only the
 //!   fields downstream processors read (paper §4 Q2); everything else
 //!   crosses as opaque bytes that are never re-parsed.
@@ -33,4 +34,4 @@ pub use processor::{
     spawn_processor, NextHop, OverloadPolicy, ProcessorConfig, ProcessorHandle, ProcessorStats,
     StatsSnapshot, DEFAULT_BATCH_MAX,
 };
-pub use scaleout::{spawn_sharded, ShardedConfig, ShardedHandle};
+pub use scaleout::{spawn_sharded, Refusal, Route, ShardRouter, ShardedHandle};

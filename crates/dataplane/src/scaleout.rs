@@ -1,49 +1,147 @@
 //! Scale-out RPC processing (paper Figure 2, Configuration 4).
 //!
-//! A shard router endpoint fronts N processor instances. The router decodes
-//! only as much as it needs (the shard key), picks an instance by stable
-//! hash, and forwards the original frame bytes untouched. Keyed element
-//! state is partitioned across instances by the same hash, so each
-//! instance's state tables see exactly the keys that hash to them.
+//! A shard router endpoint fronts N processor instances. [`ShardRouter`] is
+//! its sans-IO core: it reads the shard key, picks an instance by stable
+//! hash, and routes responses for the replaced processor's in-flight calls
+//! home; the frame bytes pass through untouched. Keyed element state is
+//! partitioned across instances by the same hash, so each instance's state
+//! tables see exactly the keys that hash to them. Two drivers exist: the
+//! router thread ([`spawn_sharded`]) and the simulator (`adn-sim`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
+use parking_lot::Mutex;
 
 use adn_rpc::message::MessageKind;
 use adn_rpc::schema::ServiceSchema;
 use adn_rpc::transport::{EndpointAddr, Frame, Link};
+use adn_rpc::value::Value;
 use adn_rpc::wire_format;
 
-/// Configuration for [`spawn_sharded`].
-pub struct ShardedConfig {
-    /// The router's flat address (what clients send to).
-    pub addr: EndpointAddr,
-    /// Addresses of the processor instances behind the router.
-    pub instances: Vec<EndpointAddr>,
-    /// Service schema (the router decodes the envelope + shard field).
-    pub service: Arc<ServiceSchema>,
-    /// Request field (by schema index) whose stable hash picks the
-    /// instance, so keyed state stays local. Must be in range for every
-    /// method's request schema.
-    pub shard_field: usize,
+/// Where [`ShardRouter::route`] sends one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// A request, to the instance that owns its shard key.
+    Forward(EndpointAddr),
+    /// A response for an in-flight call of the replaced processor, to the
+    /// call's original requester.
+    Home(EndpointAddr),
+    /// Neither: the frame is counted and dropped.
+    Refused(Refusal),
+}
+
+/// Why the router refused a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The envelope or the request's fields did not decode.
+    Malformed,
+    /// The request's method has no field at the shard index.
+    NoShardField,
+    /// A response with no inherited flow to route it home.
+    NoFlow,
+}
+
+/// The routing decisions of one shard router, with no thread or link
+/// inside.
+pub struct ShardRouter {
+    instances: Vec<EndpointAddr>,
+    service: Arc<ServiceSchema>,
+    shard_field: usize,
     /// NAT flow entries inherited from the processor this router replaced:
-    /// in-flight responses addressed to the old processor are routed back
-    /// to their original requesters.
-    pub inherited_flows: std::collections::HashMap<u64, EndpointAddr>,
+    /// call id → original requester, consumed as the responses return.
+    flows: HashMap<u64, EndpointAddr>,
+    forwarded: u64,
+    /// Refusal counts, indexed by [`Refusal`].
+    refused: [u64; 3],
+}
+
+impl ShardRouter {
+    /// A router over `instances` hashing request field `shard_field` (by
+    /// schema index), holding the replaced processor's flows.
+    pub fn new(
+        instances: Vec<EndpointAddr>,
+        service: Arc<ServiceSchema>,
+        shard_field: usize,
+        inherited_flows: HashMap<u64, EndpointAddr>,
+    ) -> Self {
+        assert!(!instances.is_empty(), "need at least one instance");
+        Self {
+            instances,
+            service,
+            shard_field,
+            flows: inherited_flows,
+            forwarded: 0,
+            refused: [0; 3],
+        }
+    }
+
+    /// Inherited flows not yet consumed by a returning response.
+    pub fn flows(&self) -> &HashMap<u64, EndpointAddr> {
+        &self.flows
+    }
+
+    /// Requests routed to an instance so far.
+    pub fn forwarded(&self) -> u64 {
+        self.forwarded
+    }
+
+    /// Frames refused so far for `why`.
+    pub fn refused(&self, why: Refusal) -> u64 {
+        self.refused[why as usize]
+    }
+
+    /// Routes one frame. Responses are classified from the envelope alone;
+    /// a request is decoded to read its shard field.
+    pub fn route(&mut self, frame: &Frame) -> Route {
+        let Ok(env) = wire_format::peek_envelope(&frame.payload) else {
+            return self.refuse(Refusal::Malformed);
+        };
+        if env.kind == MessageKind::Response {
+            return match self.flows.remove(&env.call_id) {
+                Some(home) => Route::Home(home),
+                None => self.refuse(Refusal::NoFlow),
+            };
+        }
+        let Ok(msg) = wire_format::decode_message_exact(&frame.payload, &self.service) else {
+            return self.refuse(Refusal::Malformed);
+        };
+        let Some(key) = msg.fields.get(self.shard_field) else {
+            return self.refuse(Refusal::NoShardField);
+        };
+        self.forwarded += 1;
+        Route::Forward(self.instances[shard_of(key, self.instances.len())])
+    }
+
+    fn refuse(&mut self, why: Refusal) -> Route {
+        self.refused[why as usize] += 1;
+        Route::Refused(why)
+    }
+}
+
+/// What the router thread does next, set through its handle.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Routing,
+    /// Frames stay queued for a successor to drain.
+    Paused,
+    /// Re-emit the queue to our own address, then pause.
+    Drain,
+    Stopped,
+}
+
+/// The router and its mode, shared by the thread and its handle.
+struct Shared {
+    router: ShardRouter,
+    mode: Mode,
 }
 
 /// Handle to a running shard router.
 pub struct ShardedHandle {
     addr: EndpointAddr,
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    paused: Arc<std::sync::atomic::AtomicBool>,
-    drain_req: Arc<std::sync::atomic::AtomicBool>,
-    drain_done: Arc<std::sync::atomic::AtomicBool>,
-    forwarded: Arc<AtomicU64>,
-    flows: Arc<parking_lot::Mutex<std::collections::HashMap<u64, EndpointAddr>>>,
+    shared: Arc<Mutex<Shared>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -53,154 +151,107 @@ impl ShardedHandle {
         self.addr
     }
 
-    /// Frames forwarded so far.
+    /// Requests routed to an instance so far.
     pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+        self.shared.lock().router.forwarded()
+    }
+
+    /// Frames refused so far for `why`.
+    pub fn refused(&self, why: Refusal) -> u64 {
+        self.shared.lock().router.refused(why)
     }
 
     /// Remaining inherited flow entries (drains as stragglers return).
-    pub fn export_flows(&self) -> std::collections::HashMap<u64, EndpointAddr> {
-        self.flows.lock().clone()
+    pub fn export_flows(&self) -> HashMap<u64, EndpointAddr> {
+        self.shared.lock().router.flows().clone()
     }
 
-    /// Stops forwarding new requests (they stay queued for a successor to
-    /// drain); inherited-flow responses keep flowing home.
+    /// Stops routing: frames stay queued for a successor to drain.
     pub fn stop_routing(&self) {
-        self.paused.store(true, Ordering::Relaxed);
+        self.shared.lock().mode = Mode::Paused;
     }
 
     /// Re-emits every queued frame to this router's own address (after a
     /// successor took the address over) and waits for completion.
     pub fn drain(&self) {
-        self.drain_req.store(true, Ordering::Relaxed);
+        self.shared.lock().mode = Mode::Drain;
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !self.drain_done.load(Ordering::Relaxed) && std::time::Instant::now() < deadline {
+        while self.shared.lock().mode == Mode::Drain && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_micros(100));
         }
     }
 
-    /// Stops the router thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
+    /// Stops the router thread (dropping the handle stops and joins it).
+    pub fn stop(self) {}
 }
 
 impl Drop for ShardedHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.lock().mode = Mode::Stopped;
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
     }
 }
 
-/// Spawns the shard router. Responses do not pass through the router: each
-/// instance NATs itself into the flow, so the return path goes
-/// server → instance → client directly.
+/// Spawns the thread that drives `router` at `addr`. Responses do not pass
+/// through the router: each instance NATs itself into the flow, so the
+/// return path goes server → instance → client directly.
 pub fn spawn_sharded(
-    config: ShardedConfig,
+    addr: EndpointAddr,
+    router: ShardRouter,
     link: Arc<dyn Link>,
     frames: Receiver<Frame>,
 ) -> ShardedHandle {
-    assert!(!config.instances.is_empty(), "need at least one instance");
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let forwarded = Arc::new(AtomicU64::new(0));
-    let flows = Arc::new(parking_lot::Mutex::new(config.inherited_flows.clone()));
-    let addr = config.addr;
-
-    let paused = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let drain_req = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let drain_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let t_stop = stop.clone();
-    let t_paused = paused.clone();
-    let t_drain_req = drain_req.clone();
-    let t_drain_done = drain_done.clone();
-    let t_forwarded = forwarded.clone();
-    let t_flows = flows.clone();
+    let shared = Arc::new(Mutex::new(Shared {
+        router,
+        mode: Mode::Routing,
+    }));
+    let t_shared = shared.clone();
     let join = std::thread::Builder::new()
         .name(format!("adn-shard-router-{addr}"))
-        .spawn(move || {
-            let ShardedConfig {
-                addr: addr_for_drain,
-                instances,
-                service,
-                shard_field,
-                inherited_flows: _,
-            } = config;
-            while !t_stop.load(Ordering::Relaxed) {
-                if t_drain_req.load(Ordering::Relaxed) && !t_drain_done.load(Ordering::Relaxed) {
-                    // Re-emit queued frames to our own address; the fabric
-                    // now delivers them to the successor.
-                    let self_addr = addr_for_drain;
-                    while let Ok(frame) = frames.try_recv() {
-                        let _ = link.send(Frame {
-                            src: frame.src,
-                            dst: self_addr,
-                            payload: frame.payload,
-                        });
-                    }
-                    t_drain_done.store(true, Ordering::Relaxed);
-                }
-                if t_paused.load(Ordering::Relaxed) {
-                    // Leave requests queued for the successor's drain.
+        .spawn(move || loop {
+            let mode = t_shared.lock().mode;
+            match mode {
+                Mode::Routing => {}
+                Mode::Paused => {
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }
-                let frame = match frames.recv_timeout(Duration::from_millis(20)) {
-                    Ok(f) => f,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                };
-                // Decode just enough to shard; forward the original bytes.
-                let Ok(msg) = wire_format::decode_message_exact(&frame.payload, &service) else {
-                    continue;
-                };
-                if msg.kind != MessageKind::Request {
-                    // A response for an in-flight call of the processor
-                    // this router replaced: route it home.
-                    if let Some(orig_src) = t_flows.lock().remove(&msg.call_id) {
-                        let _ = link.send(Frame {
-                            src: frame.src,
-                            dst: orig_src,
-                            payload: frame.payload,
-                        });
+                Mode::Drain => {
+                    // The fabric now delivers our address to the successor.
+                    while let Ok(frame) = frames.try_recv() {
+                        let _ = link.send(Frame { dst: addr, ..frame });
+                    }
+                    let mut shared = t_shared.lock();
+                    if shared.mode == Mode::Drain {
+                        shared.mode = Mode::Paused;
                     }
                     continue;
                 }
-                let hash = msg.fields[shard_field].stable_hash();
-                let instance = instances[(hash % instances.len() as u64) as usize];
-                if link
-                    .send(Frame {
-                        src: frame.src,
-                        dst: instance,
-                        payload: frame.payload,
-                    })
-                    .is_ok()
-                {
-                    t_forwarded.fetch_add(1, Ordering::Relaxed);
-                }
+                Mode::Stopped => return,
+            }
+            let frame = match frames.recv_timeout(Duration::from_millis(20)) {
+                Ok(f) => f,
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            };
+            let route = t_shared.lock().router.route(&frame);
+            if let Route::Forward(dst) | Route::Home(dst) = route {
+                let _ = link.send(Frame { dst, ..frame });
             }
         })
         .expect("spawn shard router");
-
     ShardedHandle {
         addr,
-        stop,
-        paused,
-        drain_req,
-        drain_done,
-        forwarded,
-        flows,
+        shared,
         join: Some(join),
     }
 }
 
-/// Computes the shard an arbitrary key value lands on — used by the
-/// controller to partition keyed state consistently with the router.
-pub fn shard_of(key: &adn_rpc::value::Value, shards: usize) -> usize {
+/// Computes the shard an arbitrary key value lands on — the router's pick,
+/// and how the controller partitions keyed state to match it.
+pub fn shard_of(key: &Value, shards: usize) -> usize {
     (key.stable_hash() % shards as u64) as usize
 }
 
@@ -215,15 +266,18 @@ mod tests {
     use adn_rpc::runtime::{spawn_server, RpcClient, ServerConfig};
     use adn_rpc::schema::{MethodDef, RpcSchema};
     use adn_rpc::transport::InProcNetwork;
-    use adn_rpc::value::{Value, ValueType};
+    use adn_rpc::value::ValueType;
+
+    fn schema(fields: &[&str]) -> Arc<RpcSchema> {
+        let mut b = RpcSchema::builder();
+        for f in fields {
+            b = b.field(*f, ValueType::U64);
+        }
+        Arc::new(b.build().unwrap())
+    }
 
     fn service() -> Arc<ServiceSchema> {
-        let schema = Arc::new(
-            RpcSchema::builder()
-                .field("key", ValueType::U64)
-                .build()
-                .unwrap(),
-        );
+        let schema = schema(&["key"]);
         Arc::new(
             ServiceSchema::new(
                 "KV",
@@ -255,65 +309,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharding_is_consistent_and_covers_instances() {
-        let net = InProcNetwork::new();
-        let link: Arc<dyn Link> = Arc::new(net.clone());
-        let svc = service();
-
-        // Server at 2.
-        let server_frames = net.attach(2);
+    /// An echo server at 2 and one processor per `(addr, chain)` forwarding
+    /// to it.
+    fn backend(
+        net: &InProcNetwork,
+        link: &Arc<dyn Link>,
+        svc: &Arc<ServiceSchema>,
+        instances: Vec<(u64, EngineChain)>,
+    ) -> (
+        adn_rpc::runtime::ServerHandle,
+        Vec<crate::processor::ProcessorHandle>,
+    ) {
         let svc2 = svc.clone();
-        let _server = spawn_server(
+        let server = spawn_server(
             ServerConfig {
                 addr: 2,
                 service: svc.clone(),
                 chain: EngineChain::new(),
             },
             link.clone(),
-            server_frames,
+            net.attach(2),
             Box::new(move |req| {
-                let m = svc2.method_by_id(1).unwrap();
+                let m = svc2.method_by_id(req.method_id).unwrap();
                 let mut resp = RpcMessage::response_to(req, m.response.clone());
                 resp.set("key", req.get("key").unwrap().clone());
                 resp
             }),
         );
+        let handles = instances
+            .into_iter()
+            .map(|(addr, chain)| {
+                spawn_processor(
+                    ProcessorConfig {
+                        addr,
+                        service: svc.clone(),
+                        chain,
+                        request_next: NextHop::Fixed(2),
+                        response_next: NextHop::Dst,
+                        initial_flows: Default::default(),
+                        telemetry: None,
+                        clock: None,
+                        batch_max: DEFAULT_BATCH_MAX,
+                        overload: Default::default(),
+                    },
+                    link.clone(),
+                    net.attach(addr),
+                )
+            })
+            .collect();
+        (server, handles)
+    }
+
+    #[test]
+    fn sharding_is_consistent_and_covers_instances() {
+        let net = InProcNetwork::new();
+        let link: Arc<dyn Link> = Arc::new(net.clone());
+        let svc = service();
 
         // Two processor instances at 10, 11 with key recorders.
         let seen_a = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let seen_b = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for (addr, seen) in [(10u64, seen_a.clone()), (11, seen_b.clone())] {
-            let frames = net.attach(addr);
-            handles.push(spawn_processor(
-                ProcessorConfig {
-                    addr,
-                    service: svc.clone(),
-                    chain: EngineChain::from_engines(vec![Box::new(KeyRecorder { seen })]),
-                    request_next: NextHop::Fixed(2),
-                    response_next: NextHop::Dst,
-                    initial_flows: Default::default(),
-                    telemetry: None,
-                    clock: None,
-                    batch_max: DEFAULT_BATCH_MAX,
-                    overload: Default::default(),
-                },
-                link.clone(),
-                frames,
-            ));
-        }
+        let recorder = |seen: &Arc<parking_lot::Mutex<Vec<u64>>>| {
+            EngineChain::from_engines(vec![Box::new(KeyRecorder { seen: seen.clone() })])
+        };
+        let _backend = backend(
+            &net,
+            &link,
+            &svc,
+            vec![(10, recorder(&seen_a)), (11, recorder(&seen_b))],
+        );
 
         // Router at 5.
         let router_frames = net.attach(5);
         let router = spawn_sharded(
-            ShardedConfig {
-                addr: 5,
-                instances: vec![10, 11],
-                service: svc.clone(),
-                shard_field: 0,
-                inherited_flows: Default::default(),
-            },
+            5,
+            ShardRouter::new(vec![10, 11], svc.clone(), 0, Default::default()),
             link.clone(),
             router_frames,
         );
@@ -344,5 +414,75 @@ mod tests {
             assert_eq!(shard_of(&Value::U64(k), 2), 1, "key {k} misrouted");
         }
         assert_eq!(router.forwarded(), 40);
+        assert_eq!(router.refused(Refusal::Malformed), 0);
+    }
+
+    /// A request whose method's schema is shorter than the shard index, a
+    /// frame that does not decode and a response nobody is waiting for are
+    /// each counted and dropped; the router thread keeps serving.
+    #[test]
+    fn refused_frames_are_counted_and_the_router_keeps_serving() {
+        let net = InProcNetwork::new();
+        let link: Arc<dyn Link> = Arc::new(net.clone());
+        let (long, short) = (schema(&["key", "tag"]), schema(&["key"]));
+        let method = |id, name: &str, request: &Arc<RpcSchema>| MethodDef {
+            id,
+            name: name.into(),
+            request: request.clone(),
+            response: short.clone(),
+        };
+        let svc = Arc::new(
+            ServiceSchema::new(
+                "KV",
+                vec![method(1, "Put", &long), method(2, "Get", &short)],
+            )
+            .unwrap(),
+        );
+        let _backend = backend(&net, &link, &svc, vec![(10, EngineChain::new())]);
+        let router = spawn_sharded(
+            5,
+            ShardRouter::new(vec![10], svc.clone(), 1, Default::default()),
+            link.clone(),
+            net.attach(5),
+        );
+        let client = RpcClient::new(
+            1,
+            link.clone(),
+            net.attach(1),
+            svc.clone(),
+            EngineChain::new(),
+        );
+
+        // Get has no field 1 to shard on.
+        let get = RpcMessage::request(0, 2, short.clone()).with("key", 7u64);
+        let _unanswered = client.send_call(get, 5).unwrap();
+        link.send(Frame {
+            src: 1,
+            dst: 5,
+            payload: vec![0xff; 3],
+        })
+        .unwrap();
+        let mut stray = RpcMessage::request(99, 2, short.clone()).with("key", 7u64);
+        stray.kind = MessageKind::Response;
+        link.send(Frame {
+            src: 2,
+            dst: 5,
+            payload: wire_format::encode_message_to_vec(&stray).unwrap(),
+        })
+        .unwrap();
+
+        // Frames route in arrival order: once this answers, all three
+        // refusals have been counted.
+        let put = RpcMessage::request(0, 1, long)
+            .with("key", 7u64)
+            .with("tag", 1u64);
+        let resp = client
+            .send_call(put, 5)
+            .and_then(|p| p.wait(Duration::from_secs(5)))
+            .expect("the router must survive the refused frames");
+        assert_eq!(resp.get("key"), Some(&Value::U64(7)));
+        let refused = [Refusal::Malformed, Refusal::NoShardField, Refusal::NoFlow];
+        assert_eq!(refused.map(|why| router.refused(why)), [1, 1, 1]);
+        assert_eq!(router.forwarded(), 1);
     }
 }

@@ -185,11 +185,6 @@ impl SimExecutor {
         Some((s.at, s.event))
     }
 
-    /// Events still queued.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Appends a log line stamped with the current virtual time. Lines
     /// must never contain wall-clock data — the log is the determinism
     /// witness (same seed ⇒ byte-identical log).
@@ -199,11 +194,6 @@ impl SimExecutor {
             self.clock.now().as_nanos(),
             line.as_ref()
         ));
-    }
-
-    /// The event log so far.
-    pub fn log_lines(&self) -> &[String] {
-        &self.log
     }
 
     /// Consumes the executor, returning the event log.

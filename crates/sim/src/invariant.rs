@@ -143,47 +143,6 @@ impl Invariant for TraceWellFormed {
     }
 }
 
-/// Consecutive scale-outs are separated by at least the configured
-/// cooldown — the autoscaler never thrashes.
-pub struct CooldownMonotonic {
-    cooldown: Duration,
-    cursor: usize,
-}
-
-impl CooldownMonotonic {
-    /// Checks gaps against `cooldown`.
-    pub fn new(cooldown: Duration) -> Self {
-        Self {
-            cooldown,
-            cursor: 0,
-        }
-    }
-}
-
-impl Invariant for CooldownMonotonic {
-    fn name(&self) -> &'static str {
-        "autoscale-cooldown"
-    }
-    fn check(&mut self, _now: Duration, facts: &Facts) -> Result<(), String> {
-        while self.cursor < facts.scaleouts.len() {
-            let i = self.cursor;
-            self.cursor += 1;
-            if i == 0 {
-                continue;
-            }
-            let gap = facts.scaleouts[i].saturating_sub(facts.scaleouts[i - 1]);
-            if gap < self.cooldown {
-                return Err(format!(
-                    "scale-outs {}ns apart, cooldown is {}ns",
-                    gap.as_nanos(),
-                    self.cooldown.as_nanos()
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Every killed processor is failed over within the controller's
 /// promised bound (heartbeat timeout + detection sweeps + slack).
 pub struct FailoverLiveness {
@@ -290,10 +249,9 @@ impl Invariant for GoodputFloor {
     }
 }
 
-/// The checker set for a scenario: the three universal invariants plus
-/// cooldown monotonicity when autoscale is on and the overload pair
-/// when an overload model is armed. Failover liveness is always armed —
-/// with no kills it is vacuous.
+/// The checker set for a scenario: the four universal invariants plus the
+/// overload pair when an overload model is armed. Failover liveness is
+/// always armed — with no kills it is vacuous.
 pub fn invariants_for(s: &Scenario) -> Vec<Box<dyn Invariant>> {
     let mut invs: Vec<Box<dyn Invariant>> = vec![
         Box::new(AtMostOnce),
@@ -301,9 +259,6 @@ pub fn invariants_for(s: &Scenario) -> Vec<Box<dyn Invariant>> {
         Box::new(TraceWellFormed::default()),
         Box::new(FailoverLiveness::new(s.failover_bound())),
     ];
-    if let Some(a) = &s.autoscale {
-        invs.push(Box::new(CooldownMonotonic::new(a.cooldown)));
-    }
     if s.overload.as_ref().is_none_or(|m| m.policy.drop_expired) {
         invs.push(Box::new(NoExpiredExecution));
     }
@@ -354,17 +309,6 @@ mod tests {
             parent_span: 99, // never recorded
             processor: 52,
         });
-        assert!(inv.check(Duration::ZERO, &facts).is_err());
-    }
-
-    #[test]
-    fn cooldown_checker_flags_rapid_scaleouts() {
-        let mut inv = CooldownMonotonic::new(Duration::from_millis(100));
-        let mut facts = Facts::default();
-        facts.scaleouts.push(Duration::from_millis(100));
-        facts.scaleouts.push(Duration::from_millis(250));
-        assert!(inv.check(Duration::ZERO, &facts).is_ok());
-        facts.scaleouts.push(Duration::from_millis(300));
         assert!(inv.check(Duration::ZERO, &facts).is_err());
     }
 

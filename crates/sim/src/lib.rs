@@ -11,9 +11,12 @@
 //! Every simulated processor hop is the production
 //! [`adn_dataplane::HopCore`] — the sans-IO core the processor thread
 //! drives — running compiled element chains ([`adn_elements`] →
-//! [`adn_backend`]); client and server reuse the real dedup windows,
-//! circuit breakers and retry backoff from [`adn_rpc`]. Invariants are
-//! checked against production code, not a model of it.
+//! [`adn_backend`]). A scale-out runs production's plan
+//! ([`adn_controller::reconfig::plan_scale_out`]) and leaves a production
+//! [`adn_dataplane::ShardRouter`] at the entry address. Client and server
+//! reuse the real dedup windows, circuit breakers and retry backoff from
+//! [`adn_rpc`]. Invariants are checked against production code, not a
+//! model of it.
 //!
 //! ## Layout
 //!
@@ -22,8 +25,8 @@
 //! - [`nodes`]: message-level models of client, processor, server, and
 //!   controller, plus the [`nodes::Facts`] record checkers observe.
 //! - [`scenario`]: the [`Scenario`] builder and the simulation itself.
-//! - [`invariant`]: the five checkers (at-most-once, zero-loss, trace
-//!   well-formedness, autoscale cooldown, failover liveness) evaluated
+//! - [`invariant`]: the checkers (at-most-once, zero-loss, trace
+//!   well-formedness, failover liveness, and the overload pair) evaluated
 //!   after every event.
 //! - [`sweep`]: seed-range sweeps, failure shrinking, replay commands.
 //! - [`matrix`]: the eval-matrix — a declarative topology × chain ×

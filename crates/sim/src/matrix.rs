@@ -44,7 +44,6 @@ use adn_verifier::ebpf::{audit_element, EbpfPolicy};
 use adn_verifier::{preflight_source, PreflightOptions};
 use adn_wire::header::Priority;
 
-use crate::nodes::ElementSpec;
 use crate::scenario::{OverloadModel, Scenario, SimAutoscale, SimStats};
 use crate::sweep;
 
@@ -61,7 +60,8 @@ pub struct TopologySpec {
     pub processors: usize,
     /// Hardware class the placement check solves against.
     pub class: ProcessorClass,
-    /// Autoscale shard ceiling; `1` disables autoscale.
+    /// Shards the entry group scales out to, once; `1` disables
+    /// autoscale.
     pub shards: usize,
     /// Frames a processor drains per batch (`1` = per-frame delivery).
     pub batch: usize,
@@ -86,8 +86,6 @@ pub struct ChainSpec {
     pub name: String,
     /// Lowered elements, straight from the pre-flight gate.
     pub elements: Vec<ElementIr>,
-    /// Sim specs carrying each element's canonical source.
-    pub specs: Vec<ElementSpec>,
     /// Whether the chain can abort calls (ACL denials, fault injection);
     /// aborting chains disarm the goodput floor under overload because
     /// aborted calls are correct behavior, not lost goodput.
@@ -106,14 +104,9 @@ impl ChainSpec {
         if elements.is_empty() {
             return Err(format!("{name}: pre-flight produced no elements"));
         }
-        let specs = elements
-            .iter()
-            .map(|ir| ElementSpec::from_source(&ir.name, &ir.source))
-            .collect();
         Ok(Self {
             name: name.into(),
             elements: elements.to_vec(),
-            specs,
             aborts: source.contains("ABORT"),
         })
     }
@@ -379,7 +372,7 @@ fn cell_scenario(
     let mut s = Scenario::new(name);
     s.processors = topo.processors;
     s.batch = topo.batch;
-    s.chain_specs = Some(chain.specs.clone());
+    s.chain_specs = Some(chain.elements.clone());
     s.jit = tier;
     s.calls = 24;
     s.concurrency = 4;
@@ -392,8 +385,7 @@ fn cell_scenario(
     if topo.shards > 1 && !overloaded {
         s.autoscale = Some(SimAutoscale {
             threshold: 10,
-            cooldown: Duration::from_millis(60),
-            max_shards: topo.shards,
+            shards: topo.shards,
         });
     }
     match chaos {
@@ -865,7 +857,6 @@ mod tests {
         ] {
             let chain = ChainSpec::from_source(name, src).expect(name);
             assert!(!chain.elements.is_empty());
-            assert_eq!(chain.elements.len(), chain.specs.len());
         }
     }
 

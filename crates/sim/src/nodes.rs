@@ -11,52 +11,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adn_dataplane::HopCore;
+use adn_ir::ElementIr;
 use adn_rpc::retry::{CircuitBreaker, DedupWindow, DegradedMode, RetryPolicy};
 use adn_rpc::schema::RpcSchema;
 use adn_rpc::transport::Frame;
-use adn_rpc::value::Value;
 use adn_wire::header::Priority;
+
+use crate::scenario::SimAutoscale;
 
 /// Dedup window capacity of the simulated server (processors use the
 /// production window inside [`HopCore`]). Larger than any scenario's in-flight set, so eviction never weakens
 /// the at-most-once invariant inside a run.
 pub const DEDUP_CAP: usize = 4096;
-
-/// One element of a processor's chain, kept in buildable form so
-/// failover and migration can reconstruct the chain deterministically.
-#[derive(Debug, Clone)]
-pub struct ElementSpec {
-    /// Standard element name (e.g. `"Acl"`).
-    pub name: String,
-    /// Instantiation arguments.
-    pub args: Vec<(String, Value)>,
-    /// DSL source to compile instead of the catalog element, for chains
-    /// that exist only as text (eval-matrix generated chains, `.adn`
-    /// files). `None` builds `name` from the standard catalog.
-    pub source: Option<String>,
-}
-
-impl ElementSpec {
-    /// An element with no arguments.
-    pub fn plain(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            args: Vec::new(),
-            source: None,
-        }
-    }
-
-    /// An element compiled from DSL source text. Callers are expected to
-    /// have run the source through `adn_verifier::preflight` first; the
-    /// sim panics on sources that do not lower.
-    pub fn from_source(name: &str, source: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            args: Vec::new(),
-            source: Some(source.to_string()),
-        }
-    }
-}
 
 /// The state of one in-flight or finished client call.
 #[derive(Debug)]
@@ -133,8 +99,10 @@ impl SimClient {
 pub struct SimProcessor {
     /// The production hop: chain, dedup windows, NAT flows, admission.
     pub core: HopCore,
-    /// Buildable description of the chain for failover/migration rebuilds.
-    pub elements: Vec<ElementSpec>,
+    /// The chain's elements and their compile seeds, for failover and
+    /// migration rebuilds and the scale-out plan.
+    pub elements: Vec<ElementIr>,
+    pub seeds: Vec<u64>,
     /// Where the core forwards accepted requests (kept for rebuilds).
     pub next: u64,
     /// False after a `Kill`: stops heartbeating, blackholes frames.
@@ -153,10 +121,11 @@ pub struct SimProcessor {
 
 impl SimProcessor {
     /// A fresh processor around `core`.
-    pub fn new(core: HopCore, elements: Vec<ElementSpec>, next: u64) -> Self {
+    pub fn new(core: HopCore, elements: Vec<ElementIr>, seeds: Vec<u64>, next: u64) -> Self {
         Self {
             core,
             elements,
+            seeds,
             next,
             alive: true,
             last_beat: Duration::ZERO,
@@ -181,35 +150,17 @@ pub struct SimServer {
 }
 
 /// The simulated controller: failure detection, checkpoint/restore, and
-/// load-triggered scale-out with a cooldown — the sim analog of the
-/// control loops in `adn-controller`.
+/// the one load-triggered scale-out — the sim analog of the control loops
+/// in `adn-controller`, whose scale-out plan and shard-safety check it
+/// calls.
 #[derive(Debug)]
 pub struct SimController {
-    /// Heartbeat age beyond which a processor is declared dead.
-    pub heartbeat_timeout: Duration,
-    /// Interval between controller sweeps.
-    pub sweep_interval: Duration,
-    /// Interval between state checkpoints.
-    pub checkpoint_interval: Duration,
     /// Last checkpointed element-state images per processor.
     pub checkpoints: BTreeMap<u64, Vec<Vec<u8>>>,
-    /// Scale-out config, when the scenario enables autoscale.
-    pub autoscale: Option<AutoscaleModel>,
-    /// Virtual time of the most recent scale-out.
-    pub last_scaleout: Option<Duration>,
-    /// Kills the controller has already repaired (avoid double failover).
-    pub failed_over: BTreeMap<u64, Duration>,
-}
-
-/// Autoscale parameters for the simulated controller.
-#[derive(Debug, Clone)]
-pub struct AutoscaleModel {
-    /// Entry-processor requests per sweep that trigger a scale-out.
-    pub threshold: u64,
-    /// Minimum virtual time between consecutive scale-outs.
-    pub cooldown: Duration,
-    /// Upper bound on shard replicas.
-    pub max_shards: usize,
+    /// Scale-out config while armed: set when the scenario enables
+    /// autoscale and the entry group is shard-safe, cleared by the
+    /// scale-out.
+    pub autoscale: Option<SimAutoscale>,
 }
 
 /// One recorded trace span (the sim's analog of `adn_telemetry::Span`,

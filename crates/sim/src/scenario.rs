@@ -6,11 +6,12 @@
 //! one RNG, virtual time only. Every processor hop runs the production
 //! [`HopCore`] — the same sans-IO core the processor thread drives:
 //! classify, dedup, admission, decode, chain, NAT, verdict, spans. The sim
-//! only drives it (inbox, batch window, overload busy time, routing after
-//! scale-out) and reads its outcome records into the log and the facts,
-//! so the invariants checked here are checked against production code.
-//! Client, server and controller reuse the real dedup windows, circuit
-//! breakers and retry backoff.
+//! only drives it (inbox, batch window, overload busy time) and reads its
+//! outcome records into the log and the facts, so the invariants checked
+//! here are checked against production code. Scale-out is production's
+//! too: the shard-safety check, [`plan_scale_out`], and a [`ShardRouter`]
+//! at the entry address. Client, server and controller reuse the real
+//! dedup windows, circuit breakers and retry backoff.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,8 +20,12 @@ use std::time::Duration;
 use adn::harness::{object_store_schemas, object_store_service};
 use adn_backend::jit::{compile_engine, JitTier};
 use adn_backend::native::CompileOpts;
+use adn_controller::reconfig::{check_shard_safe, plan_scale_out};
 use adn_dataplane::processor::OverloadPolicy;
-use adn_dataplane::{HopCore, HopOutput, NextHop, OutcomeKind, ProcessorConfig};
+use adn_dataplane::{
+    HopCore, HopOutput, NextHop, OutcomeKind, ProcessorConfig, Route, ShardRouter,
+};
+use adn_ir::{ChainIr, ElementIr};
 use adn_rpc::chaos::ChaosPolicy;
 use adn_rpc::engine::EngineChain;
 use adn_rpc::message::{MessageKind, RpcMessage, RpcStatus};
@@ -28,7 +33,7 @@ use adn_rpc::retry::{BreakerPolicy, CircuitBreaker, DedupWindow, DegradedMode, R
 use adn_rpc::schema::{RpcSchema, ServiceSchema};
 use adn_rpc::transport::Frame;
 use adn_rpc::value::Value;
-use adn_rpc::wire_format::{decode_message_exact, encode_message_to_vec};
+use adn_rpc::wire_format::{decode_message_exact, encode_message_to_vec, peek_envelope};
 use adn_telemetry::trace::mix64;
 use adn_telemetry::{HopTelemetry, Registry, Sampler, SpanRing};
 use adn_wire::header::{OverloadContext, Priority};
@@ -37,8 +42,8 @@ use rand::Rng;
 use crate::executor::{Event, SimExecutor};
 use crate::invariant::{invariants_for, Violation};
 use crate::nodes::{
-    AutoscaleModel, CallOutcome, CallState, ElementSpec, Facts, SimClient, SimController,
-    SimProcessor, SimServer, SpanFact, DEDUP_CAP,
+    CallOutcome, CallState, Facts, SimClient, SimController, SimProcessor, SimServer, SpanFact,
+    DEDUP_CAP,
 };
 
 /// The client's flat endpoint address.
@@ -49,6 +54,8 @@ pub const SERVER_ADDR: u64 = 200;
 pub const PROC_BASE: u64 = 50;
 /// First scale-out shard address.
 pub const SHARD_BASE: u64 = 500;
+/// Request field the entry shards on: `object_id`.
+pub const SHARD_FIELD: usize = 0;
 
 /// Fixed one-way link latency before jitter and chaos delay.
 const BASE_LATENCY: Duration = Duration::from_millis(1);
@@ -81,15 +88,14 @@ pub struct OverloadModel {
     pub goodput_floor: f64,
 }
 
-/// Autoscale knobs for a scenario.
+/// Autoscale knobs for a scenario. The entry group scales out at most
+/// once, as production scales each group once.
 #[derive(Debug, Clone)]
 pub struct SimAutoscale {
-    /// Entry-processor forwards per sweep that trigger a scale-out.
+    /// Entry-processor forwards per sweep that trigger the scale-out.
     pub threshold: u64,
-    /// Minimum virtual time between consecutive scale-outs.
-    pub cooldown: Duration,
-    /// Upper bound on shard replicas.
-    pub max_shards: usize,
+    /// Shard instances the entry group scales out to.
+    pub shards: usize,
 }
 
 /// A whole-cluster test scenario. Build one with the preset constructors
@@ -116,7 +122,8 @@ pub struct Scenario {
     pub chaos: ChaosPolicy,
     /// Client ↔ entry partition window `(start, end)`, if any.
     pub partition_window: Option<(Duration, Duration)>,
-    /// Crash `(time, processor index)`, if any.
+    /// Crash `(time, processor index)`, if any. A kill or migrate aimed
+    /// at the entry after it became a shard router is a logged no-op.
     pub kill: Option<(Duration, usize)>,
     /// Live migration `(time, processor index)`, if any.
     pub migrate: Option<(Duration, usize)>,
@@ -150,11 +157,11 @@ pub struct Scenario {
     /// semantics (one admission decision, in-batch duplicate deferral,
     /// forwards sent before replays) because it is production's code.
     pub batch: usize,
-    /// Element chain to distribute over the processors. `None` (the
-    /// default) runs the paper-eval chain (Logging → ACL → Fault with
+    /// Lowered element chain to distribute over the processors. `None`
+    /// (the default) runs the paper-eval chain (Logging → ACL → Fault with
     /// `fault_prob`); eval-matrix cells substitute arbitrary preflighted
     /// chains here.
-    pub chain_specs: Option<Vec<ElementSpec>>,
+    pub chain_specs: Option<Vec<ElementIr>>,
     /// Engine tier the chains compile at. `Auto` (the default) resolves
     /// exactly like production (`ADN_JIT` honored) and keeps the legacy
     /// byte-identical event log; eval-matrix pins explicit tiers to
@@ -246,23 +253,26 @@ impl Scenario {
 
     /// The reconfiguration port of `tests/reconfig_zero_loss.rs`: live
     /// migration plus load-triggered scale-out on a clean link, with the
-    /// strict zero-loss invariant (any timed-out call fails the run).
+    /// strict zero-loss invariant (any timed-out call fails the run). In
+    /// application order the entry group (Fault → Acl) is shard-safe, and
+    /// the migration hits hop 1 (Logging).
     pub fn reconfig() -> Self {
         let mut s = Self::new("reconfig");
         s.processors = 2;
         s.calls = 120;
         s.concurrency = 4;
-        s.migrate = Some((Duration::from_millis(50), 0));
+        s.chain_specs = Some(object_store_chain(s.fault_prob));
+        s.migrate = Some((Duration::from_millis(50), 1));
         s.autoscale = Some(SimAutoscale {
             threshold: 15,
-            cooldown: Duration::from_millis(60),
-            max_shards: 3,
+            shards: 3,
         });
         s
     }
 
     /// The acceptance scenario: chaos + processor crash/failover +
-    /// autoscale in one run, all five invariants armed.
+    /// autoscale in one run, every invariant armed. Like `reconfig`, the
+    /// shard-safe entry group scales out and the crash hits hop 1.
     pub fn everything() -> Self {
         let mut s = Self::new("everything");
         s.processors = 2;
@@ -270,6 +280,7 @@ impl Scenario {
         s.concurrency = 8;
         s.users = vec!["alice".into(), "bob".into()];
         s.fault_prob = 0.01;
+        s.chain_specs = Some(object_store_chain(s.fault_prob));
         s.chaos = ChaosPolicy {
             drop_prob: 0.02,
             dup_prob: 0.02,
@@ -277,13 +288,31 @@ impl Scenario {
             delay_prob: 0.02,
             delay: Duration::from_millis(5),
         };
-        s.kill = Some((Duration::from_millis(60), 0));
+        s.kill = Some((Duration::from_millis(60), 1));
         s.autoscale = Some(SimAutoscale {
             threshold: 20,
-            cooldown: Duration::from_millis(120),
-            max_shards: 3,
+            shards: 3,
         });
         s.allow_timeouts = true;
+        s
+    }
+
+    /// `everything` with the scale-out on the last hop: one processor
+    /// running the shard-safe Fault → Acl scales out to three shards that
+    /// forward straight to the server, so the server's own dedup is all
+    /// that stands between a retransmit of a call the old processor
+    /// forwarded and a second execution.
+    pub fn scaleout_last_hop() -> Self {
+        let mut s = Self::everything();
+        s.name = "scaleout-last-hop".into();
+        s.processors = 1;
+        s.kill = None;
+        // Logging is keyed by now(), not shard-safe.
+        s.chain_specs.as_mut().expect("everything's chain").pop();
+        s.autoscale = Some(SimAutoscale {
+            threshold: 10,
+            shards: 3,
+        });
         s
     }
 
@@ -549,17 +578,24 @@ fn priority_for(index: u64) -> Priority {
     }
 }
 
-/// Builds the paper-eval element list for a scenario.
-fn paper_elements(fault_prob: f64) -> Vec<ElementSpec> {
-    vec![
-        ElementSpec::plain("Logging"),
-        ElementSpec::plain("Acl"),
-        ElementSpec {
-            name: "Fault".into(),
-            args: vec![("abort_prob".into(), Value::F64(fault_prob))],
-            source: None,
-        },
-    ]
+/// The paper-eval element list (Logging → ACL → Fault), the default chain.
+fn paper_elements(fault_prob: f64) -> Vec<ElementIr> {
+    let (req, resp) = object_store_schemas();
+    let fault = [("abort_prob".to_string(), Value::F64(fault_prob))];
+    [("Logging", &[][..]), ("Acl", &[]), ("Fault", &fault)]
+        .into_iter()
+        .map(|(name, args)| adn_elements::build(name, args, &req, &resp).expect("catalog element"))
+        .collect()
+}
+
+/// The paper-eval elements in application order, Fault → Acl → Logging,
+/// as `examples/dsl/object_store.adn` lists them. Fault and Acl are
+/// shard-safe on object_id; Logging's table is keyed by `now()`, so a group
+/// holding it is not.
+pub fn object_store_chain(fault_prob: f64) -> Vec<ElementIr> {
+    let mut chain = paper_elements(fault_prob);
+    chain.reverse();
+    chain
 }
 
 /// The live simulation: executor + node models + observed facts.
@@ -573,17 +609,11 @@ pub(crate) struct Sim<'a> {
     ctl: SimController,
     /// Chain-entry address (autoscale target, partition endpoint).
     entry: u64,
+    /// The production shard router serving the entry address once the
+    /// entry group has scaled out.
+    router: Option<ShardRouter>,
     /// Entry-processor forwards since the last sweep (autoscale signal).
     entry_load: u64,
-    /// Scale-out shard addresses, in creation order.
-    shards: Vec<u64>,
-    /// Element specs shards are built from (set at first scale-out).
-    shard_elements: Vec<ElementSpec>,
-    /// Downstream hop shards forward to (set at first scale-out).
-    shard_downstream: u64,
-    /// Shard each request the post-scale-out entry routed went to, so a
-    /// replay of that forward goes where the original did.
-    routes: BTreeMap<u64, u64>,
     /// Wiring every processor's `HopCore` shares; its span ring is drained
     /// into `facts.spans` after each batch.
     telemetry: HopTelemetry,
@@ -591,7 +621,6 @@ pub(crate) struct Sim<'a> {
     compile_seed: u64,
     service: Arc<ServiceSchema>,
     req_schema: Arc<RpcSchema>,
-    resp_schema: Arc<RpcSchema>,
 }
 
 impl<'a> Sim<'a> {
@@ -609,10 +638,9 @@ impl<'a> Sim<'a> {
             .clone()
             .unwrap_or_else(|| paper_elements(cfg.fault_prob));
         let len = elements.len().max(1);
-        let mut groups: Vec<Vec<ElementSpec>> = vec![Vec::new(); n];
-        for (j, spec) in elements.into_iter().enumerate() {
-            let target = (j * n) / len;
-            groups[target.min(n - 1)].push(spec);
+        let mut groups: Vec<Vec<ElementIr>> = vec![Vec::new(); n];
+        for (j, ir) in elements.into_iter().enumerate() {
+            groups[((j * n) / len).min(n - 1)].push(ir);
         }
 
         let client = SimClient {
@@ -632,18 +660,18 @@ impl<'a> Sim<'a> {
             dedup: DedupWindow::new(DEDUP_CAP),
             resp_schema: resp_schema.clone(),
         };
+        // Arm autoscale only for an entry group production would shard.
+        let mut autoscale = cfg.autoscale.clone();
+        if autoscale.is_some() {
+            let entry = ChainIr::new(groups[0].clone(), req_schema.clone(), resp_schema.clone());
+            if let Err(e) = check_shard_safe(&service, &entry, SHARD_FIELD) {
+                exec.log(format!("autoscale_refused addr={PROC_BASE} {e}"));
+                autoscale = None;
+            }
+        }
         let ctl = SimController {
-            heartbeat_timeout: cfg.heartbeat_timeout,
-            sweep_interval: cfg.sweep_interval,
-            checkpoint_interval: cfg.checkpoint_interval,
             checkpoints: BTreeMap::new(),
-            autoscale: cfg.autoscale.as_ref().map(|a| AutoscaleModel {
-                threshold: a.threshold,
-                cooldown: a.cooldown,
-                max_shards: a.max_shards,
-            }),
-            last_scaleout: None,
-            failed_over: BTreeMap::new(),
+            autoscale,
         };
 
         // Seed the event queue: workload warm-up, controller loops, and
@@ -700,11 +728,8 @@ impl<'a> Sim<'a> {
             server,
             ctl,
             entry: PROC_BASE,
+            router: None,
             entry_load: 0,
-            shards: Vec::new(),
-            shard_elements: Vec::new(),
-            shard_downstream: SERVER_ADDR,
-            routes: BTreeMap::new(),
             telemetry: HopTelemetry {
                 app: "sim".into(),
                 registry: Arc::new(Registry::new()),
@@ -715,42 +740,33 @@ impl<'a> Sim<'a> {
             compile_seed,
             service,
             req_schema,
-            resp_schema,
         };
         for (i, group) in groups.into_iter().enumerate() {
             let addr = PROC_BASE + i as u64;
             let next = if i + 1 < n { addr + 1 } else { SERVER_ADDR };
-            let chain = sim.build_chain(&group, &[]);
-            sim.spawn_proc(addr, chain, group, next);
+            let seeds = vec![sim.compile_seed; group.len()];
+            sim.spawn_proc(addr, group, seeds, &[], next);
         }
         sim
     }
 
-    /// Compiles `specs` with this run's fixed compile seed and engine tier
+    /// Compiles element `i` with `seeds[i]` at this run's engine tier
     /// (rebuilds during failover/migration replay the same random stream),
     /// then restores `images` best effort, like the real controller: an
     /// image set of the wrong shape (empty, or post-reconfig) leaves fresh
     /// state.
-    fn build_chain(&self, specs: &[ElementSpec], images: &[Vec<u8>]) -> EngineChain {
-        let (req, resp) = (&*self.req_schema, &*self.resp_schema);
+    fn build_chain(
+        &self,
+        elements: &[ElementIr],
+        seeds: &[u64],
+        images: &[Vec<u8>],
+    ) -> EngineChain {
         let mut chain = EngineChain::new();
-        for spec in specs {
-            let ir = match &spec.source {
-                Some(src) => {
-                    let ast = adn_dsl::parser::parse_element(src)
-                        .unwrap_or_else(|e| panic!("element {} must parse: {e:?}", spec.name));
-                    let checked = adn_dsl::typecheck::check_element(&ast, req, resp)
-                        .unwrap_or_else(|e| panic!("element {} must typecheck: {e:?}", spec.name));
-                    adn_ir::lower_element(&checked, &[], req, resp)
-                        .unwrap_or_else(|e| panic!("element {} must lower: {e:?}", spec.name))
-                }
-                None => adn_elements::build(&spec.name, &spec.args, req, resp)
-                    .unwrap_or_else(|e| panic!("element {} must build: {e:?}", spec.name)),
-            };
+        for (ir, &seed) in elements.iter().zip(seeds) {
             chain.push(compile_engine(
-                &ir,
+                ir,
                 &CompileOpts {
-                    seed: self.compile_seed,
+                    seed,
                     replicas: vec![],
                     jit: self.cfg.jit,
                 },
@@ -760,11 +776,19 @@ impl<'a> Sim<'a> {
         chain
     }
 
-    /// Installs a fresh processor at `addr`.
-    fn spawn_proc(&mut self, addr: u64, chain: EngineChain, elements: Vec<ElementSpec>, next: u64) {
+    /// Installs a fresh processor at `addr` hosting `elements`.
+    fn spawn_proc(
+        &mut self,
+        addr: u64,
+        elements: Vec<ElementIr>,
+        seeds: Vec<u64>,
+        images: &[Vec<u8>],
+        next: u64,
+    ) {
+        let chain = self.build_chain(&elements, &seeds, images);
         let core = self.new_core(addr, chain, next);
         self.procs
-            .insert(addr, SimProcessor::new(core, elements, next));
+            .insert(addr, SimProcessor::new(core, elements, seeds, next));
     }
 
     /// A production `HopCore` for `addr` with the scenario's batch ceiling
@@ -799,6 +823,12 @@ impl<'a> Sim<'a> {
             Event::FlushBatch { addr } => self.flush_batch(now, addr),
             Event::Sweep => self.sweep(now),
             Event::Checkpoint => self.checkpoint(now),
+            Event::Kill { addr } | Event::Migrate { addr } if self.is_router(addr) => {
+                // Production kills and migrates processors only; a router
+                // has no state to restore or move.
+                self.exec
+                    .log(format!("{}_refused addr={addr} router", ev.tag()));
+            }
             Event::Kill { addr } => self.kill(now, addr),
             Event::Migrate { addr } => self.migrate(now, addr),
             Event::PartitionStart => {
@@ -876,6 +906,8 @@ impl<'a> Sim<'a> {
             self.client_recv(now, frame);
         } else if dst == self.server.addr {
             self.server_recv(frame);
+        } else if self.is_router(dst) {
+            self.router_recv(frame);
         } else if self.procs.contains_key(&dst) {
             self.proc_recv(now, frame);
         } else {
@@ -1203,10 +1235,9 @@ impl<'a> Sim<'a> {
             }
             let line = match o.kind {
                 OutcomeKind::Forwarded { .. } if req => {
-                    let mut f = forwards.next().expect("forward frame");
+                    let f = forwards.next().expect("forward frame");
                     if addr == self.entry {
                         self.entry_load += 1;
-                        f.dst = self.route(call, f.dst);
                     }
                     let line = format!("fwd addr={addr} call={call} dst={}", f.dst);
                     sends.push((f, extra));
@@ -1245,14 +1276,9 @@ impl<'a> Sim<'a> {
                 }
                 OutcomeKind::DedupReplay => {
                     self.facts.dedup_hits += 1;
-                    let mut f = replays.next().expect("replay frame");
-                    if req && addr == self.entry {
-                        if let Some(dst) = self.routes.get(&call) {
-                            f.dst = *dst;
-                        }
-                        if model.is_some() {
-                            extra = self.procs[&addr].busy_until.saturating_sub(now);
-                        }
+                    let f = replays.next().expect("replay frame");
+                    if req && addr == self.entry && model.is_some() {
+                        extra = self.procs[&addr].busy_until.saturating_sub(now);
                     }
                     resends.push((f, extra));
                     if req {
@@ -1280,22 +1306,28 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Where the entry sends a fresh request forward. After scale-out the
-    /// entry is an empty-chain router: it spreads requests over the shards
-    /// by `mix64(object_id)` and remembers the pick so a replay of the
-    /// forward follows it.
-    fn route(&mut self, call_id: u64, dst: u64) -> u64 {
-        if self.shards.is_empty() {
-            return dst;
+    // ---- shard router --------------------------------------------------
+
+    /// Whether `addr` is the entry after it became a shard router.
+    fn is_router(&self, addr: u64) -> bool {
+        self.router.is_some() && addr == self.entry
+    }
+
+    /// Routes one frame through the entry's [`ShardRouter`] and sends its
+    /// bytes on untouched, as the router thread does.
+    fn router_recv(&mut self, frame: Frame) {
+        let addr = self.entry;
+        let call = peek_envelope(&frame.payload).map_or(0, |e| e.call_id);
+        let route = self
+            .router
+            .as_mut()
+            .expect("entry is a router")
+            .route(&frame);
+        self.exec
+            .log(format!("route addr={addr} call={call} {route:?}"));
+        if let Route::Forward(dst) | Route::Home(dst) = route {
+            self.send_frame(Frame { dst, ..frame });
         }
-        let oid = self
-            .client
-            .calls
-            .get(&call_id)
-            .map_or(call_id, |c| c.object_id);
-        let shard = self.shards[(mix64(oid) % self.shards.len() as u64) as usize];
-        self.routes.insert(call_id, shard);
-        shard
     }
 
     // ---- server --------------------------------------------------------
@@ -1363,26 +1395,21 @@ impl<'a> Sim<'a> {
                 continue;
             }
             let age = now.saturating_sub(last_beat);
-            if age > self.ctl.heartbeat_timeout {
+            if age > self.cfg.heartbeat_timeout {
                 self.failover(now, addr, age);
             }
         }
-        // Load-triggered scale-out on the chain entry, gated by cooldown.
+        // Load-triggered scale-out of the chain entry, once.
         if let Some(cfg) = self.ctl.autoscale.clone() {
-            let load = self.entry_load;
-            self.entry_load = 0;
-            let cooled = match self.ctl.last_scaleout {
-                None => true,
-                Some(t) => now.saturating_sub(t) >= cfg.cooldown,
-            };
-            let entry_alive = self.procs.get(&self.entry).map(|p| p.alive) == Some(true);
-            if load > cfg.threshold && cooled && self.shards.len() < cfg.max_shards && entry_alive {
-                self.scale_out(now);
+            let load = std::mem::take(&mut self.entry_load);
+            let entry_alive = self.procs.get(&self.entry).is_some_and(|p| p.alive);
+            if load > cfg.threshold && entry_alive {
+                self.scale_out(now, cfg.shards);
             }
         }
         if !self.client_done() || self.procs.values().any(|p| !p.alive) {
             self.exec
-                .schedule_after(self.ctl.sweep_interval, Event::Sweep);
+                .schedule_after(self.cfg.sweep_interval, Event::Sweep);
         }
     }
 
@@ -1403,7 +1430,7 @@ impl<'a> Sim<'a> {
         }
         if !self.client_done() {
             self.exec
-                .schedule_after(self.ctl.checkpoint_interval, Event::Checkpoint);
+                .schedule_after(self.cfg.checkpoint_interval, Event::Checkpoint);
         }
     }
 
@@ -1413,39 +1440,52 @@ impl<'a> Sim<'a> {
     fn failover(&mut self, now: Duration, addr: u64, age: Duration) {
         let p = &self.procs[&addr];
         let images = self.ctl.checkpoints.get(&addr).map_or(&[][..], |i| &i[..]);
-        let chain = self.build_chain(&p.elements, images);
+        let chain = self.build_chain(&p.elements, &p.seeds, images);
         let core = self.new_core(addr, chain, p.next);
         let p = self.procs.get_mut(&addr).expect("present");
         p.core = core;
         p.alive = true;
         p.last_beat = now;
-        self.ctl.failed_over.insert(addr, now);
         self.facts.failovers.insert(addr, now);
         self.exec
             .log(format!("failover addr={addr} age_ns={}", age.as_nanos()));
     }
 
-    fn scale_out(&mut self, now: Duration) {
-        let new_addr = SHARD_BASE + self.shards.len() as u64;
-        let mut images = Vec::new();
-        if self.shards.is_empty() {
-            // First scale-out: the entry's elements move to shard 0 (with
-            // exported state) and the entry becomes a pure router.
-            let p = self.procs.get_mut(&self.entry).expect("entry");
-            images = p.core.install_chain(EngineChain::new());
-            self.shard_elements = std::mem::take(&mut p.elements);
-            self.shard_downstream = p.next;
+    /// Production's scale-out of the entry group: [`plan_scale_out`]
+    /// partitions the entry's state over `shards` fresh `HopCore`s, and the
+    /// entry address becomes a [`ShardRouter`] that inherits the old core's
+    /// flows. Frames queued at the old core drain into the router, as the
+    /// retiring processor re-emits its queue in production. Disarms
+    /// autoscale: a group scales out once.
+    fn scale_out(&mut self, now: Duration, shards: usize) {
+        let entry = self.entry;
+        let old = self.procs.remove(&entry).expect("entry");
+        let images = old.core.export_states();
+        let plan = plan_scale_out(
+            &images,
+            &old.elements,
+            SHARD_FIELD,
+            shards,
+            self.compile_seed,
+        )
+        .expect("the entry's own state plans");
+        let instances: Vec<u64> = (0..shards as u64).map(|s| SHARD_BASE + s).collect();
+        for (&addr, shard) in instances.iter().zip(plan) {
+            let elements = old.elements.clone();
+            self.spawn_proc(addr, elements, shard.seeds, &shard.images, old.next);
         }
-        let chain = self.build_chain(&self.shard_elements, &images);
-        let elements = self.shard_elements.clone();
-        self.spawn_proc(new_addr, chain, elements, self.shard_downstream);
-        self.shards.push(new_addr);
-        self.ctl.last_scaleout = Some(now);
-        self.facts.scaleouts.push(now);
+        let flows = old.core.flows().lock().clone();
         self.exec.log(format!(
-            "scaleout shards={} new_addr={new_addr}",
-            self.shards.len()
+            "scaleout addr={entry} shards={shards} inherited_flows={}",
+            flows.len()
         ));
+        let service = self.service.clone();
+        self.router = Some(ShardRouter::new(instances, service, SHARD_FIELD, flows));
+        self.ctl.autoscale = None;
+        self.facts.scaleouts.push(now);
+        for frame in old.inbox {
+            self.router_recv(frame);
+        }
     }
 
     fn kill(&mut self, now: Duration, addr: u64) {
@@ -1466,10 +1506,75 @@ impl<'a> Sim<'a> {
         if !p.alive {
             return;
         }
-        let chain = self.build_chain(&p.elements, &p.core.export_states());
+        let chain = self.build_chain(&p.elements, &p.seeds, &p.core.export_states());
         let p = self.procs.get_mut(&addr).expect("present");
         p.core.install_chain(chain);
         self.facts.migrations += 1;
         self.exec.log(format!("migrate addr={addr}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adn_controller::reconfig::decode_engine_image;
+    use adn_dataplane::scaleout::shard_of;
+
+    use crate::matrix::ChainSpec;
+
+    /// A per-object counter, keyed by the shard field.
+    const COUNTER: &str = "
+        element Counter() {
+            state hits(object_id: u64 key, n: u64);
+            on request {
+                INSERT INTO hits VALUES (input.object_id, 0);
+                UPDATE hits SET n = hits.n + 1 WHERE hits.object_id == input.object_id;
+                SELECT * FROM input;
+            }
+        }
+    ";
+
+    /// Keyed state lands where production puts it: after a run that scales
+    /// the counter out mid-workload, every row lives in the shard
+    /// `shard_of` names, on that shard only, and counts exactly the
+    /// server's executions of its object.
+    #[test]
+    fn scale_out_partitions_keyed_state_by_shard_of() {
+        let mut s = Scenario::new("counter-scaleout");
+        s.calls = 120;
+        s.chain_specs = Some(ChainSpec::from_source("counter", COUNTER).unwrap().elements);
+        s.autoscale = Some(SimAutoscale {
+            threshold: 10,
+            shards: 3,
+        });
+        let mut sim = Sim::new(&s, 7);
+        while let Some((now, ev)) = sim.exec.pop() {
+            sim.handle(now, ev);
+        }
+        assert_eq!(sim.facts.scaleouts.len(), 1);
+        assert_eq!(sim.facts.executions.len(), 120);
+
+        assert!(sim.router.is_some(), "the entry became a router");
+        let mut counts = BTreeMap::new();
+        for shard in 0..3 {
+            let p = &sim.procs[&(SHARD_BASE + shard as u64)];
+            let tables = decode_engine_image(&p.elements[0], &p.core.export_states()[0])
+                .expect("counter image");
+            for row in tables[0].scan() {
+                assert_eq!(shard_of(&row[0], 3), shard, "{:?} on shard {shard}", row[0]);
+                let (Value::U64(oid), Value::U64(n)) = (&row[0], &row[1]) else {
+                    panic!("counter row {row:?}");
+                };
+                assert!(counts.insert(*oid, *n).is_none(), "{oid} on two shards");
+            }
+        }
+        // The workload's object id is the call's index.
+        let executed: BTreeMap<u64, u64> = sim
+            .facts
+            .executions
+            .iter()
+            .map(|(&call, &n)| (call - SimClient::call_id(0), n.into()))
+            .collect();
+        assert_eq!(counts, executed);
     }
 }

@@ -285,10 +285,10 @@ impl std::fmt::Debug for ClusterView {
     }
 }
 
-/// Thresholded, cooldown-gated placement policy over a [`ClusterView`].
-/// Replaces the signal-free round-robin heuristics: new element groups go
-/// to the lightest processor, and a sustained p99 or queue-depth breach
-/// asks for exactly one scale-out per cooldown window.
+/// Thresholded placement policy over a [`ClusterView`]. Replaces the
+/// signal-free round-robin heuristics: new element groups go to the
+/// lightest processor, and a p99, queue-depth or shed-rate breach asks the
+/// controller for a scale-out, which it performs once per group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadAwarePolicy {
     /// Scale out when any element's windowed p99 exceeds this (ns).
@@ -300,8 +300,6 @@ pub struct LoadAwarePolicy {
     /// goodput but every shed is a request the cluster failed to serve,
     /// so a sustained shed rate is a capacity breach, not a steady state.
     pub shed_rate_threshold: u64,
-    /// Minimum time between scale-outs of the same group.
-    pub cooldown: Duration,
 }
 
 impl Default for LoadAwarePolicy {
@@ -310,7 +308,6 @@ impl Default for LoadAwarePolicy {
             p99_threshold_ns: 50_000_000, // 50 ms
             queue_depth_threshold: 64,
             shed_rate_threshold: 10,
-            cooldown: Duration::from_secs(5),
         }
     }
 }

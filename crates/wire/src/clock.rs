@@ -2,12 +2,12 @@
 //!
 //! The runtime crates (rpc, dataplane, controller, telemetry) all need a
 //! notion of "now" for retry deadlines, circuit-breaker cooldowns, heartbeat
-//! ages, autoscale cooldowns, and observation windows. Reading
-//! `Instant::now()` directly hard-wires those paths to the wall clock, which
-//! makes whole-cluster tests nondeterministic and slow (every timeout is a
-//! real sleep). This module splits the dependency: production code runs on
-//! [`SystemClock`], and the deterministic simulator (`adn-sim`) substitutes a
-//! [`VirtualClock`] it advances explicitly.
+//! ages, and observation windows. Reading `Instant::now()` directly
+//! hard-wires those paths to the wall clock, which makes whole-cluster tests
+//! nondeterministic and slow (every timeout is a real sleep). This module
+//! splits the dependency: production code runs on [`SystemClock`], and the
+//! deterministic simulator (`adn-sim`) substitutes a [`VirtualClock`] it
+//! advances explicitly.
 //!
 //! Timestamps are [`Duration`]s since the clock's epoch rather than
 //! [`Instant`]s, because `Instant` values cannot be fabricated at arbitrary

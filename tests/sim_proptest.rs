@@ -9,6 +9,7 @@
 use std::time::Duration;
 
 use adn_rpc::chaos::ChaosPolicy;
+use adn_sim::scenario::object_store_chain;
 use adn_sim::{Scenario, SimAutoscale};
 use proptest::arbitrary::any;
 use proptest::test_runner::ProptestConfig;
@@ -69,15 +70,18 @@ fn scenario_from(
         s.migrate = Some((Duration::from_millis(30), 0));
     }
     if autoscale {
+        // Application order, as production deploys it: with two or more
+        // processors the entry group (Fault → Acl) is shard-safe; a single
+        // processor also holds Logging, so autoscale is refused and the
+        // run stays unscaled.
+        s.chain_specs = Some(object_store_chain(s.fault_prob));
         s.autoscale = Some(SimAutoscale {
             threshold: 12,
-            cooldown: Duration::from_millis(80),
-            max_shards: 3,
+            shards: 3,
         });
     }
     // Chaos and fault injection legitimately abort or time out calls;
-    // the invariant set still demands at-most-once, trace shape, and
-    // cooldown monotonicity.
+    // the invariant set still demands at-most-once and trace shape.
     s.allow_timeouts = drop_pm > 0 || dup_pm > 0 || delay_pm > 0 || fault_pm > 0;
     s
 }
