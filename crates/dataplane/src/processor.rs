@@ -602,14 +602,9 @@ pub fn spawn_processor(
                     }
                 };
                 // Fill the batch opportunistically: everything already
-                // queued, up to the ceiling. Never blocks.
+                // queued, up to the ceiling, under one lock. Never blocks.
                 batch.push(first);
-                while batch.len() < batch_max {
-                    match frames.try_recv() {
-                        Ok(f) => batch.push(f),
-                        Err(_) => break,
-                    }
-                }
+                frames.try_recv_many(&mut batch, batch_max - 1);
                 // Decay the gauge to the post-pull residue: the frames just
                 // pulled are no longer "waiting", and an idle processor must
                 // read zero rather than hold the last pre-drain depth.
